@@ -21,8 +21,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ParameterOutOfRange, PatternMismatch, SpecmultError
 from .graphs import Graph, parse_graph
 from .hermitian import (
@@ -33,7 +31,7 @@ from .hermitian import (
     validate_pattern,
 )
 from .oracle import CAMPAIGNS, CampaignConfig, run_campaign
-from .spectra import AlgebraicEigenvalue, IntPolynomial, multiplicity
+from .spectra import AlgebraicEigenvalue, IntPolynomial, _real_roots, multiplicity
 from .structure import structure_report
 from .theorems import (
     RELATIONS,
@@ -76,8 +74,7 @@ def _parse_lambda(args):
         poly = IntPolynomial(coeffs)
         if poly.degree < 1:
             raise ParameterOutOfRange("minimal polynomial must be nonconstant")
-        roots = np.roots(list(reversed(poly.coeffs)))
-        reals = sorted(float(r.real) for r in roots if abs(complex(r).imag) < 1e-9)
+        reals = _real_roots(poly.coeffs)
         if not reals:
             raise ParameterOutOfRange("the supplied polynomial has no real root")
         if args.near is not None:

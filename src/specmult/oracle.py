@@ -13,8 +13,8 @@ run through numpy in int64 batches, multiplicity profiles come from an
 integer-only squarefree decomposition, and the full per-eigenvalue
 classifier only runs on graphs whose structural form could possibly be
 one-deficient (plus every graph where some multiplicity actually hits the
-target). The structural gate is cross-validated against the full predicate
-in the test suite.
+target). For the decomposition form that gate is the classifier's own
+lambda-independent half, theorems._form_d_structure.
 
 Wall-clock budget: set SPECMULT_TIME_BUDGET_SECS (or CampaignConfig's
 time_budget_secs) to abort long campaigns with partial results attached to
@@ -28,7 +28,7 @@ import math
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -37,7 +37,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import (
-    AmbiguousCluster,
     CapExceeded,
     NotApplicable,
     ParameterOutOfRange,
@@ -46,12 +45,8 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    components,
     cycle_graph,
-    cyclomatic_number,
-    induced_subgraph,
     infinity_graph,
-    is_connected,
     pendant_vertices,
     serialize_graph,
     tadpole_graph,
@@ -70,7 +65,9 @@ from .hermitian import (
 from .spectra import (
     AlgebraicEigenvalue,
     IntPolynomial,
+    _real_roots,
     describe_eigenvalue,
+    eigenvalue_float,
     eigenvalues_numeric,
     irreducible_factors,
     min_poly_2cos,
@@ -78,18 +75,17 @@ from .spectra import (
     scaled_char_poly,
 )
 from .structure import (
-    blocks,
     classify_family,
     is_cycle_graph,
-    is_path_graph,
     major_sets,
     pendant_paths,
 )
 from .theorems import (
     RelationProbe,
     _affine_minpoly,
+    _classify,
+    _form_d_structure,
     check_upper_bound,
-    conclusion_classifier,
     corollary_minus_one_tree,
     corollary_nullity_tree,
     cstar_adjacency_predicate,
@@ -397,10 +393,10 @@ def enumerate_theta_infinity(max_param: int = CAP_THETA_INFTY_PARAM) -> Iterator
 # ---------------------------------------------------------------------------
 # Integer-only multiplicity profiles
 #
-# Independent of the Fraction-based squarefree machinery in the spectra
-# module (the two are cross-checked in the tests): primitive pseudo-remainder
-# gcds keep the whole decomposition in Z[x], which is what makes the
-# exhaustive n <= 7 sweep affordable.
+# Independent of the spectra module's sympy factorisation (the tests check
+# the profiles against sympy's squarefree decomposition): primitive
+# pseudo-remainder gcds keep the whole decomposition in Z[x], which is what
+# makes the exhaustive n <= 7 sweep affordable.
 
 
 def _int_primitive(c: list) -> tuple:
@@ -556,32 +552,36 @@ class CertifiedCluster:
     approx: float
 
 
-def _real_roots(coeffs) -> list[float]:
-    arr = np.roots(list(reversed(coeffs)))
-    return sorted(float(r.real) for r in arr if abs(complex(r).imag) < 1e-9)
+def _factor_roots(f: IntPolynomial) -> list:
+    """Exact descriptors of every root of an irreducible factor of a
+    Hermitian characteristic polynomial, ascending.
+
+    All such roots are real, so a factor of degree k that yields fewer than
+    k real roots means the root finder lost one: that raises rather than
+    returning a short spectrum.
+    """
+    if f.degree == 1:
+        return [Fraction(-f.coeffs[0], f.coeffs[1])]
+    roots = _real_roots(f.coeffs)
+    if len(roots) != f.degree:
+        raise AssertionError(
+            f"factor {f} of degree {f.degree} yielded {len(roots)} real roots"
+        )
+    return [AlgebraicEigenvalue(f, r) for r in roots]
 
 
 def certified_spectrum(b: HermitianMatrix) -> list[CertifiedCluster]:
     """Every distinct eigenvalue with its exact multiplicity, ascending."""
     p, d = scaled_char_poly(b)
-    out: list[CertifiedCluster] = []
-    for f, mult in irreducible_factors(p):
-        if f.degree == 1:
-            root = Fraction(-f.coeffs[0], f.coeffs[1])
-            out.append(CertifiedCluster(root, mult, d, float(root) / d))
-        else:
-            for r in _real_roots(f.coeffs):
-                out.append(CertifiedCluster(AlgebraicEigenvalue(f, r), mult, d, r / d))
+    out = [
+        CertifiedCluster(lam, mult, d, eigenvalue_float(lam) / d)
+        for f, mult in irreducible_factors(p)
+        for lam in _factor_roots(f)
+    ]
+    if sum(c.multiplicity for c in out) != b.n:
+        raise AssertionError("certified multiplicities do not sum to the matrix order")
     out.sort(key=lambda c: c.approx)
     return out
-
-
-def _scaled_matrix(b: HermitianMatrix, d: int) -> HermitianMatrix:
-    if d == 1:
-        return b
-    s = ExactComplex(d, 0)
-    rows = tuple(tuple(e * s for e in row) for row in b.entries)
-    return HermitianMatrix(b.n, rows, b.pattern, "exact")
 
 
 # ---------------------------------------------------------------------------
@@ -706,60 +706,14 @@ def _graph_instance(g: Graph, lam=None, **extra) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Structural gate for the decomposition form (lambda-independent part)
-
-
-def _class_u_piece(piece: Graph) -> bool:
-    return (
-        is_connected(piece)
-        and cyclomatic_number(piece) == 1
-        and len(pendant_vertices(piece)) <= 1
-    )
-
-
-def _form_d_structural_gate(g: Graph) -> bool:
-    """Exactly the lambda-independent clauses of the decomposition form.
-
-    Mirrors the full predicate's structural checks (cross-validated in the
-    tests); a graph failing this gate fails the form for every lambda.
-    """
-    theta = cyclomatic_number(g)
-    if theta < 1:
-        return False
-    ms = major_sets(g)
-    if not ms.M:
-        return False
-    for blk in blocks(g):
-        if not blk.is_cycle_block:
-            continue
-        majors_on = [v for v in blk.vertices if g.degree(v) >= 3]
-        if len(majors_on) != 1 or g.degree(majors_on[0]) != 3:
-            return False
-    m_list = sorted(ms.M)
-    for i, u in enumerate(m_list):
-        for v in m_list[i + 1 :]:
-            if g.has_edge(u, v):
-                return False
-    m_set = set(m_list)
-    rest = induced_subgraph(g, [v for v in range(g.n) if v not in m_set]).child
-    u_count = 0
-    for comp in components(rest):
-        piece = induced_subgraph(rest, comp).child
-        if is_path_graph(piece):
-            continue
-        if _class_u_piece(piece):
-            u_count += 1
-            continue
-        return False
-    return u_count == theta
-
-
-# ---------------------------------------------------------------------------
 # Campaigns
 
 
-def _adjacency_clusters(g: Graph) -> list[CertifiedCluster]:
-    return certified_spectrum(adjacency_matrix(g))
+def _form_d_gate(g: Graph) -> bool:
+    """Can the decomposition form hold at some lambda? Its structural
+    clauses, behind the cheap nonempty-M test that rejects almost every
+    graph before blocks and pieces are computed."""
+    return bool(major_sets(g).M) and all(_form_d_structure(g)[0].values())
 
 
 def _campaign_fixtures(cfg: CampaignConfig, rec: _Recorder) -> None:
@@ -895,7 +849,7 @@ def _campaign_trees(cfg: CampaignConfig, rec: _Recorder) -> None:
                         f"conditions {bool(pred)}",
                         f"multiplicity {mult} vs target {p - 1}",
                     )
-                out = conclusion_classifier(t, a, lam, cfg.tol, multiplicity_hint=mult)
+                out = _classify(t, a, lam, cfg.tol, mult, "precomputed")
                 rec.check(
                     "classifier-consistency",
                     out.evidence["consistent"],
@@ -931,7 +885,7 @@ def _campaign_unicyclic(cfg: CampaignConfig, rec: _Recorder) -> None:
                 inst = _graph_instance(g, c.lam, multiplicity=c.multiplicity, bound=bound)
                 rep = check_upper_bound(g, a, c.lam, cfg.tol)
                 rec.check("upper-bound", rep.holds, key, inst, rep.rhs, rep.lhs)
-                out = conclusion_classifier(g, a, c.lam, cfg.tol, multiplicity_hint=c.multiplicity)
+                out = _classify(g, a, c.lam, cfg.tol, c.multiplicity, "precomputed")
                 rec.check(
                     "classifier-consistency",
                     out.evidence["consistent"],
@@ -1030,7 +984,7 @@ def _campaign_theta_infty(cfg: CampaignConfig, rec: _Recorder) -> None:
             inst = _graph_instance(g, c.lam, multiplicity=c.multiplicity, kind=kind)
             rep = check_upper_bound(g, a, c.lam, cfg.tol)
             rec.check("upper-bound", rep.holds, key, inst, rep.rhs, rep.lhs)
-            out = conclusion_classifier(g, a, c.lam, cfg.tol, multiplicity_hint=c.multiplicity)
+            out = _classify(g, a, c.lam, cfg.tol, c.multiplicity, "precomputed")
             rec.check(
                 "classifier-consistency",
                 out.evidence["consistent"],
@@ -1368,7 +1322,7 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
                     ):
                         need_all = True
                     else:
-                        need_all = _form_d_structural_gate(g_obj)
+                        need_all = _form_d_gate(g_obj)
                 if not (need_all or hit):
                     continue
                 if g_obj is None:
@@ -1377,16 +1331,8 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
                 for f, mult in irreducible_factors(IntPolynomial(coeffs_list[row])):
                     if not (need_all or mult == bound - 1):
                         continue
-                    if f.degree == 1:
-                        descriptors = [Fraction(-f.coeffs[0], f.coeffs[1])]
-                    else:
-                        descriptors = [
-                            AlgebraicEigenvalue(f, r) for r in _real_roots(f.coeffs)
-                        ]
-                    for lam in descriptors:
-                        out = conclusion_classifier(
-                            g_obj, a, lam, cfg.tol, multiplicity_hint=mult
-                        )
+                    for lam in _factor_roots(f):
+                        out = _classify(g_obj, a, lam, cfg.tol, mult, "precomputed")
                         inst = _graph_instance(
                             g_obj, lam, multiplicity=mult, bound=bound
                         )

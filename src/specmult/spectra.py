@@ -20,25 +20,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     AmbiguousCluster,
     ConvergenceFailure,
     NotAPath,
     ParameterOutOfRange,
-    TimeBudgetExceeded,
 )
 from .hermitian import ExactComplex, HermitianMatrix
 from .structure import is_path_graph, path_order
-
-StopCheck = Union[Callable[[], bool], None]
-
-
-def _maybe_stop(should_stop: StopCheck) -> None:
-    if should_stop is not None and should_stop():
-        raise TimeBudgetExceeded("computation cancelled by caller")
-
 
 # ---------------------------------------------------------------------------
 # Polynomials (coefficient tuples, lowest degree first)
@@ -49,24 +40,6 @@ def _trim(coeffs: Sequence) -> tuple:
     while k > 0 and coeffs[k - 1] == 0:
         k -= 1
     return tuple(coeffs[:k])
-
-
-def poly_degree(c: Sequence) -> int:
-    return len(_trim(c)) - 1
-
-
-def poly_add(a: Sequence, b: Sequence) -> tuple:
-    n = max(len(a), len(b))
-    return _trim([
-        (a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)
-    ])
-
-
-def poly_sub(a: Sequence, b: Sequence) -> tuple:
-    n = max(len(a), len(b))
-    return _trim([
-        (a[k] if k < len(a) else 0) - (b[k] if k < len(b) else 0) for k in range(n)
-    ])
 
 
 def poly_mul(a: Sequence, b: Sequence) -> tuple:
@@ -108,32 +81,11 @@ def poly_divmod(a: Sequence, b: Sequence) -> tuple[tuple, tuple]:
     return _trim(q), _trim(a)
 
 
-def poly_derivative(a: Sequence) -> tuple:
-    return _trim([k * a[k] for k in range(1, len(a))])
-
-
 def poly_eval(a: Sequence, x):
     acc = 0
     for c in reversed(_trim(a)):
         acc = acc * x + c
     return acc
-
-
-def _poly_monic(a: Sequence) -> tuple:
-    a = _trim(a)
-    if not a:
-        return ()
-    lead = Fraction(a[-1])
-    return tuple(Fraction(x) / lead for x in a)
-
-
-def poly_gcd(a: Sequence, b: Sequence) -> tuple:
-    """Monic gcd over the rationals."""
-    a, b = _poly_monic(a), _poly_monic(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, _poly_monic(r)
-    return a
 
 
 def poly_primitive_int(a: Sequence) -> tuple[int, ...]:
@@ -149,6 +101,18 @@ def poly_primitive_int(a: Sequence) -> tuple[int, ...]:
     if ints[-1] < 0:
         ints = [-v for v in ints]
     return tuple(ints)
+
+
+def _real_roots(coeffs: Sequence[int]) -> list[float]:
+    """Real roots of an integer polynomial as floats, ascending.
+
+    Roots whose computed imaginary part reaches 1e-9 are dropped as
+    non-real; callers that know every root is real must check the count.
+    """
+    import numpy as np
+
+    arr = np.roots(list(reversed(coeffs)))
+    return sorted(float(r.real) for r in arr if abs(complex(r).imag) < 1e-9)
 
 
 @dataclass(frozen=True)
@@ -215,33 +179,6 @@ class RationalPolynomial:
 AnyPolynomial = Union[IntPolynomial, RationalPolynomial]
 
 
-def squarefree_decomposition(p: AnyPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun decomposition p = prod a_i^i with the a_i squarefree and coprime.
-
-    Returns primitive integer factors with their multiplicities i, constant
-    content dropped.
-    """
-    f = _poly_monic(p.coeffs)
-    if len(f) <= 1:
-        return []
-    df = poly_derivative(f)
-    g = poly_gcd(f, df)
-    w, _ = poly_divmod(f, g)
-    y, _ = poly_divmod(df, g)
-    z = poly_sub(y, poly_derivative(w))
-    out = []
-    i = 1
-    while len(w) > 1:
-        a = poly_gcd(w, z)
-        if len(a) > 1:
-            out.append((IntPolynomial(poly_primitive_int(a)), i))
-        w, _ = poly_divmod(w, a)
-        y, _ = poly_divmod(z, a)
-        z = poly_sub(y, poly_derivative(w))
-        i += 1
-    return out
-
-
 def irreducible_factors(p: AnyPolynomial) -> list[tuple[IntPolynomial, int]]:
     """Irreducible integer factors with multiplicities (constants dropped)."""
     import sympy
@@ -257,13 +194,6 @@ def irreducible_factors(p: AnyPolynomial) -> list[tuple[IntPolynomial, int]]:
         out.append((IntPolynomial(poly_primitive_int(cs)), int(mult)))
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
-
-
-def poly_is_irreducible(p: IntPolynomial) -> bool:
-    if p.degree < 1:
-        return False
-    facs = irreducible_factors(p)
-    return len(facs) == 1 and facs[0][1] == 1 and facs[0][0].degree == p.degree
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +306,7 @@ def _entry_den_lcm(b: HermitianMatrix) -> int:
     return d
 
 
-def scaled_char_poly(b: HermitianMatrix, should_stop: StopCheck = None) -> tuple[IntPolynomial, int]:
+def scaled_char_poly(b: HermitianMatrix) -> tuple[IntPolynomial, int]:
     """Integer charpoly of d*B together with the denominator-clearing d.
 
     Roots correspond by lambda <-> d*lambda; d = 1 when the entries are
@@ -394,7 +324,6 @@ def scaled_char_poly(b: HermitianMatrix, should_stop: StopCheck = None) -> tuple
     mim = [[0] * n for _ in range(n)]
     rng = range(n)
     for k in range(1, n + 1):
-        _maybe_stop(should_stop)
         nre = [[0] * n for _ in rng]
         nim = [[0] * n for _ in rng]
         for i in rng:
@@ -429,10 +358,10 @@ def _scaled_char_poly_cached(b: HermitianMatrix) -> tuple[IntPolynomial, int]:
     return scaled_char_poly(b)
 
 
-def char_poly_exact(b: HermitianMatrix, should_stop: StopCheck = None) -> AnyPolynomial:
+def char_poly_exact(b: HermitianMatrix) -> AnyPolynomial:
     """det(xI - B), exact. Integer coefficients whenever the entries are
     Gaussian integers, rational coefficients otherwise."""
-    scaled, d = scaled_char_poly(b, should_stop)
+    scaled, d = scaled_char_poly(b)
     if d == 1:
         return scaled
     n = b.n
@@ -446,7 +375,7 @@ def char_poly_exact(b: HermitianMatrix, should_stop: StopCheck = None) -> AnyPol
 # Exact rank / multiplicity
 
 
-def exact_rank(rows: Sequence[Sequence[ExactComplex]], should_stop: StopCheck = None) -> int:
+def exact_rank(rows: Sequence[Sequence[ExactComplex]]) -> int:
     """Rank over the Gaussian rationals by fraction-exact elimination."""
     work = [list(r) for r in rows]
     nr = len(work)
@@ -455,7 +384,6 @@ def exact_rank(rows: Sequence[Sequence[ExactComplex]], should_stop: StopCheck = 
     for col in range(nc):
         if rank == nr:
             break
-        _maybe_stop(should_stop)
         piv = None
         for r in range(rank, nr):
             if not work[r][col].is_zero():
@@ -536,9 +464,7 @@ class SpectrumNumeric:
     residual_bound: float
 
 
-def multiplicity_exact_rational(
-    b: HermitianMatrix, lam, should_stop: StopCheck = None
-) -> MultiplicityResult:
+def multiplicity_exact_rational(b: HermitianMatrix, lam) -> MultiplicityResult:
     """n - rank(B - lambda*I) over the Gaussian rationals."""
     if not b.is_exact:
         raise ParameterOutOfRange("exact multiplicity needs exact entries")
@@ -550,18 +476,13 @@ def multiplicity_exact_rational(
         ]
         for i in range(b.n)
     ]
-    rank = exact_rank(rows, should_stop)
+    rank = exact_rank(rows)
     return MultiplicityResult(lam, b.n - rank, "ExactRank", 0.0)
 
 
-def multiplicity_exact_algebraic(
-    b: HermitianMatrix, lam: AlgebraicEigenvalue, should_stop: StopCheck = None
-) -> MultiplicityResult:
+def multiplicity_exact_algebraic(b: HermitianMatrix, lam: AlgebraicEigenvalue) -> MultiplicityResult:
     """Multiplicity of an algebraic eigenvalue by charpoly / minpoly division."""
-    if should_stop is None:
-        scaled, d = _scaled_char_poly_cached(b)
-    else:
-        scaled, d = scaled_char_poly(b, should_stop)
+    scaled, d = _scaled_char_poly_cached(b)
     nu = scale_minpoly(lam.minpoly, d)
     if not nu.is_monic:
         # the minimal polynomial of d*lambda, normalized primitive
@@ -617,15 +538,13 @@ def multiplicity_numeric(b: HermitianMatrix, lam, tol: float = 1e-8) -> Multipli
     return MultiplicityResult(lam, len(included), "NumericCluster", tol)
 
 
-def multiplicity(
-    b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8, should_stop: StopCheck = None
-) -> MultiplicityResult:
+def multiplicity(b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8) -> MultiplicityResult:
     """Dispatch to the strongest applicable method for this matrix/eigenvalue."""
     if b.is_exact:
         if isinstance(lam, AlgebraicEigenvalue):
-            return multiplicity_exact_algebraic(b, lam, should_stop)
+            return multiplicity_exact_algebraic(b, lam)
         if isinstance(lam, (int, Fraction)) and not isinstance(lam, bool):
-            return multiplicity_exact_rational(b, lam, should_stop)
+            return multiplicity_exact_rational(b, lam)
         return multiplicity_numeric(b, float(lam), tol)
     return multiplicity_numeric(b, lam, tol)
 
@@ -660,11 +579,7 @@ def path_spectrum_membership(b_p: HermitianMatrix, lam: EigenvalueLike, tol: flo
             prev2, prev1 = prev1, cur
         return prev1 == 0
     if b_p.is_exact and isinstance(lam, AlgebraicEigenvalue):
-        scaled, d = _scaled_char_poly_cached(b_p)
-        nu = scale_minpoly(lam.minpoly, d)
-        if not nu.is_monic:
-            nu = IntPolynomial(poly_primitive_int(nu.coeffs))
-        return multiplicity_via_minpoly(scaled, nu) >= 1
+        return multiplicity_exact_algebraic(b_p, lam).multiplicity >= 1
     try:
         res = multiplicity_numeric(b_p, eigenvalue_float(lam), tol)
     except AmbiguousCluster:

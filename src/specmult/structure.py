@@ -7,7 +7,7 @@ theorem predicates which shape they are looking at.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import NotApplicable, NotCStarShape, NotConnected
 from .graphs import Graph, VertexSet, components, cyclomatic_number, is_connected, pendant_vertices
@@ -16,7 +16,6 @@ FAMILY_KINDS = (
     "Path",
     "Cycle",
     "TreeGeneral",
-    "ClassU",
     "UnicyclicOther",
     "InfinityGraph",
     "ThetaGraph",
@@ -57,10 +56,9 @@ class FamilyTag:
     """Most specific shape tag for a connected graph.
 
     Tag precedence when definitions overlap:
-    Path > Cycle > ThetaGraph > InfinityGraph > CStarShape > ClassU >
-    UnicyclicOther > TreeGeneral > Other. ClassU is listed for
-    completeness; cycles and single-tail unicyclic graphs exhaust that
-    class, so the classifier always returns one of the more specific tags.
+    Path > Cycle > ThetaGraph > InfinityGraph > CStarShape >
+    UnicyclicOther > TreeGeneral > Other. Unicyclic graphs with at most one
+    pendant vertex are exactly the Cycle and CStarShape tags.
     """
 
     kind: str

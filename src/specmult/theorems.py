@@ -28,9 +28,11 @@ from .errors import (
 from .graphs import (
     Graph,
     bfs_distances,
+    components,
     cycle_graph,
     cyclomatic_number,
     delete_edge,
+    induced_subgraph,
     is_connected,
     path_graph,
     pendant_vertices,
@@ -176,6 +178,13 @@ def tree_equality_predicate(
         raise NotApplicable("predicate needs at least two vertices")
     if not validate_pattern(b, t):
         raise PatternMismatch("matrix is not in S(T)")
+    return _tree_conditions(t, b, lam, tol)
+
+
+def _tree_conditions(
+    t: Graph, b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8
+) -> PredicateResult:
+    """tree_equality_predicate on checked input."""
     if is_path_graph(t):
         return PredicateResult(True, {"path": True})
     x_set = major_sets(t).X
@@ -184,10 +193,8 @@ def tree_equality_predicate(
     rest, restmap = principal_submatrix(b, keep)
     pieces = []
     all_member = True
-    from .graphs import components
-
     for comp in components(rest.pattern):
-        piece, piecemap = principal_submatrix(rest, comp)
+        piece, _ = principal_submatrix(rest, comp)
         member = path_spectrum_membership(piece, lam, tol)
         pieces.append(
             {
@@ -266,13 +273,14 @@ def _class_u_member(g: Graph) -> bool:
     )
 
 
-def _form_d_conditions(
-    g: Graph, b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8
-) -> PredicateResult:
-    """Decomposition form: deleting the off-cycle majors leaves exactly
-    theta single-cycle pieces of multiplicity 2 plus paths carrying lambda."""
-    from .graphs import components
+def _form_d_structure(g: Graph) -> tuple[dict, list, list]:
+    """The lambda-independent half of the decomposition form.
 
+    Returns (checks, cycle reports, pieces): the six structural clauses,
+    one report per cycle block, and the components left after deleting the
+    off-cycle majors, each as (parent ids, "path" | "single-cycle" |
+    "other"). A graph failing any clause fails the form for every lambda.
+    """
     theta = cyclomatic_number(g)
     ms = major_sets(g)
     checks: dict = {
@@ -295,30 +303,44 @@ def _form_d_conditions(
         not g.has_edge(u, v) for u, v in combinations(ms.M, 2)
     )
     m_set = set(ms.M)
-    keep = [v for v in range(g.n) if v not in m_set]
-    rest, restmap = principal_submatrix(b, keep)
+    rest = induced_subgraph(g, [v for v in range(g.n) if v not in m_set])
     pieces = []
-    u_count = 0
-    decomposed = True
+    for comp in components(rest.child):
+        piece = induced_subgraph(rest.child, comp).child
+        if is_path_graph(piece):
+            kind = "path"
+        elif _class_u_member(piece):
+            kind = "single-cycle"
+        else:
+            kind = "other"
+        pieces.append(([rest.to_parent[v] for v in comp], kind))
+    kinds = [kind for _, kind in pieces]
+    checks["decomposes_into_cycles_and_paths"] = "other" not in kinds
+    checks["cycle_piece_count_matches_theta"] = kinds.count("single-cycle") == theta
+    return checks, cycle_reports, pieces
+
+
+def _form_d_conditions(
+    g: Graph, b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8
+) -> PredicateResult:
+    """Decomposition form: deleting the off-cycle majors leaves exactly
+    theta single-cycle pieces of multiplicity 2 plus paths carrying lambda."""
+    checks, cycle_reports, shapes = _form_d_structure(g)
+    pieces = []
     u_mult_ok = True
     paths_ok = True
-    for comp in components(rest.pattern):
-        piece, _ = principal_submatrix(rest, comp)
-        parent_ids = [restmap.to_parent[v] for v in comp]
-        if is_path_graph(piece.pattern):
+    for parent_ids, kind in shapes:
+        if kind == "path":
+            piece, _ = principal_submatrix(b, parent_ids)
             member = path_spectrum_membership(piece, lam, tol)
-            pieces.append({"vertices": parent_ids, "kind": "path", "carries_lambda": member})
+            pieces.append({"vertices": parent_ids, "kind": kind, "carries_lambda": member})
             paths_ok = paths_ok and member
-        elif _class_u_member(piece.pattern):
-            mu = _mult(piece, lam, tol)
-            pieces.append({"vertices": parent_ids, "kind": "single-cycle", "multiplicity": mu})
-            u_count += 1
+        elif kind == "single-cycle":
+            mu = _sub_mult(b, parent_ids, lam, tol)
+            pieces.append({"vertices": parent_ids, "kind": kind, "multiplicity": mu})
             u_mult_ok = u_mult_ok and mu == 2
         else:
-            pieces.append({"vertices": parent_ids, "kind": "other"})
-            decomposed = False
-    checks["decomposes_into_cycles_and_paths"] = decomposed
-    checks["cycle_piece_count_matches_theta"] = u_count == theta
+            pieces.append({"vertices": parent_ids, "kind": kind})
     checks["cycle_pieces_multiplicity_2"] = u_mult_ok
     checks["paths_carry_lambda"] = paths_ok
     holds = all(checks.values())
@@ -466,20 +488,13 @@ def weighted_counterexample_check() -> CheckReport:
 
 
 def conclusion_classifier(
-    g: Graph,
-    b: HermitianMatrix,
-    lam: EigenvalueLike,
-    tol: float = 1e-8,
-    multiplicity_hint: Optional[int] = None,
+    g: Graph, b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8
 ) -> ClassificationOutcome:
     """Classify (G, B, lambda) against the one-deficient characterization.
 
     The verdict is driven by the structural form tests; the direct
     multiplicity comparison is recorded alongside, and any mismatch between
     the two is logged under evidence["violations"] rather than repaired.
-    multiplicity_hint lets batch sweeps that already hold the exact
-    multiplicity (from a factored characteristic polynomial) skip the
-    recomputation; it is trusted as-is.
     """
     if not is_connected(g):
         raise NotConnected("classifier needs a connected graph")
@@ -487,20 +502,22 @@ def conclusion_classifier(
         raise PatternMismatch("matrix is not in S(G)")
     if g.n < 2:
         raise NotApplicable("classifier needs at least two vertices")
+    mres = multiplicity(b, lam, tol)
+    return _classify(g, b, lam, tol, mres.multiplicity, mres.method)
+
+
+def _classify(
+    g: Graph, b: HermitianMatrix, lam: EigenvalueLike, tol: float, m: int, method: str
+) -> ClassificationOutcome:
+    """conclusion_classifier on checked input whose multiplicity m of lambda
+    is already known (method names how it was obtained)."""
     fam = classify_family(g)
     theta = cyclomatic_number(g)
     p = len(pendant_vertices(g))
     bound = 2 * theta + p
-    if multiplicity_hint is None:
-        mres = multiplicity(b, lam, tol)
-        m, method = mres.multiplicity, mres.method
-    else:
-        m, method = int(multiplicity_hint), "precomputed"
-    form = None
-    cond: Optional[PredicateResult] = None
     if fam.kind in ("Path", "TreeGeneral"):
         form = "OneDeficientFormA"
-        cond = tree_equality_predicate(g, b, lam, tol)
+        cond = _tree_conditions(g, b, lam, tol)
     elif fam.kind == "Cycle":
         form = "OneDeficientFormB"
         cond = PredicateResult(m == 1, {"target_multiplicity": 1, "multiplicity": m})
@@ -635,8 +652,6 @@ def lemma_relation_checks(
         ]
         if crossing != [tuple(sorted((u, v)))]:
             raise SideConditionUnmet("the joining edge must be the only crossing edge")
-        from .graphs import induced_subgraph
-
         right = [w for w in range(g.n) if w not in left_set]
         if not is_connected(induced_subgraph(g, left).child) or not is_connected(
             induced_subgraph(g, right).child

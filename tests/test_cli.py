@@ -55,6 +55,9 @@ def test_mult_algebraic_minpoly(capsys, c5_file):
     code, out, err = _run(capsys, ["mult", "--graph", c5_file, "--lambda-minpoly=-1,1,1"])
     assert code == 1 and out == ""
     assert "real roots" in json.loads(err)["message"]
+    # x^3 - 2 has one real root and two complex ones: accepted, no locator needed
+    code, out, _ = _run(capsys, ["mult", "--graph", c5_file, "--lambda-minpoly=-2,0,0,1", "--json"])
+    assert code == 0 and json.loads(out)["multiplicity"] == 0
 
 
 def test_mult_numeric_mode(capsys, c5_file):

@@ -5,7 +5,9 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 import pytest
+import sympy
 
+import specmult.oracle as oracle_mod
 from specmult.errors import CapExceeded, ParameterOutOfRange, TimeBudgetExceeded
 from specmult.graphs import Graph, cycle_graph, is_connected, path_graph
 from specmult.hermitian import adjacency_matrix, random_in_S
@@ -20,7 +22,7 @@ from specmult.oracle import (
     CAP_UNICYCLIC_LABELED,
     _batched_charpoly,
     _build_guvh_instance,
-    _form_d_structural_gate,
+    _form_d_gate,
     certified_spectrum,
     enumerate_connected,
     enumerate_cstar_shapes,
@@ -30,12 +32,7 @@ from specmult.oracle import (
     int_multiplicity_profile,
     run_campaign,
 )
-from specmult.spectra import (
-    IntPolynomial,
-    char_poly_exact,
-    scaled_char_poly,
-    squarefree_decomposition,
-)
+from specmult.spectra import char_poly_exact, scaled_char_poly
 from specmult.structure import classify_family, cyclomatic_number, is_tree
 from specmult.theorems import RelationProbe, _form_d_conditions, lemma_relation_checks
 
@@ -153,7 +150,8 @@ def test_int_multiplicity_profile_known():
 
 
 def test_int_multiplicity_profile_matches_fraction_route():
-    """Z[x]-only squarefree profile agrees with the Fraction-based one."""
+    """Z[x]-only squarefree profile agrees with sympy's squarefree decomposition."""
+    x = sympy.Symbol("x")
     rng = random.Random(11)
     for _ in range(60):
         roots = []
@@ -162,9 +160,9 @@ def test_int_multiplicity_profile_matches_fraction_route():
         coeffs = np.poly1d(roots, True).coeffs.astype(np.int64)[::-1]
         prof = int_multiplicity_profile(tuple(int(c) for c in coeffs))
         ref: dict[int, int] = {}
-        for f, m in squarefree_decomposition(IntPolynomial(tuple(int(c) for c in coeffs))):
-            if f.degree > 0:
-                ref[m] = ref.get(m, 0) + f.degree
+        _, factors = sympy.Poly([int(c) for c in reversed(coeffs)], x).sqf_list()
+        for f, m in factors:
+            ref[m] = ref.get(m, 0) + f.degree()
         assert prof == ref
 
 
@@ -199,7 +197,8 @@ def test_batched_charpoly_matches_references():
 
 
 # ---------------------------------------------------------------------------
-# Structural gate vs full decomposition predicate
+# Sweep gate (structural half behind the nonempty-M prefilter) vs the full
+# decomposition predicate
 
 STRUCTURAL_CLAUSES = (
     "theta_positive",
@@ -219,7 +218,7 @@ def _gate_reference(g: Graph) -> bool:
 def test_form_d_gate_matches_predicate_exhaustively():
     for n in range(2, 6):
         for g in enumerate_connected(n):
-            assert _form_d_structural_gate(g) == _gate_reference(g)
+            assert _form_d_gate(g) == _gate_reference(g)
 
 
 def test_form_d_gate_on_larger_samples():
@@ -227,7 +226,7 @@ def test_form_d_gate_on_larger_samples():
     for n in (6, 7, 8):
         for g in enumerate_unicyclic(n, dedupe=True):
             want = _gate_reference(g)
-            assert _form_d_structural_gate(g) == want
+            assert _form_d_gate(g) == want
             hits += want
     assert hits > 0  # the sweep must exercise the accepting branch
 
@@ -280,6 +279,30 @@ def test_certified_spectrum_totals_random():
         clusters = certified_spectrum(b)
         assert sum(c.multiplicity for c in clusters) == n
         assert all(a.approx < b2.approx for a, b2 in zip(clusters, clusters[1:]))
+
+
+def _drop_last_root(monkeypatch):
+    real = oracle_mod._real_roots
+    monkeypatch.setattr(oracle_mod, "_real_roots", lambda coeffs: real(coeffs)[:-1])
+
+
+def test_certified_spectrum_raises_on_a_lost_root(monkeypatch):
+    _drop_last_root(monkeypatch)
+    with pytest.raises(AssertionError, match="degree 2 yielded 1 real roots"):
+        certified_spectrum(adjacency_matrix(cycle_graph(5)))
+
+
+def test_connected_sweep_raises_on_a_lost_root(monkeypatch):
+    _drop_last_root(monkeypatch)
+    with pytest.raises(AssertionError, match="real roots"):
+        _run("connected", cap=5)
+
+
+def test_certified_spectrum_raises_when_multiplicities_fall_short(monkeypatch):
+    real = oracle_mod.irreducible_factors
+    monkeypatch.setattr(oracle_mod, "irreducible_factors", lambda p: real(p)[1:])
+    with pytest.raises(AssertionError, match="sum to the matrix order"):
+        certified_spectrum(adjacency_matrix(cycle_graph(6)))
 
 
 # ---------------------------------------------------------------------------

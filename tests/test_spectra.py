@@ -33,7 +33,6 @@ from specmult.spectra import (
     poly_primitive_int,
     scale_minpoly,
     scaled_char_poly,
-    squarefree_decomposition,
 )
 
 X = sympy.symbols("x")
@@ -70,40 +69,6 @@ def test_int_polynomial_normalization():
     assert IntPolynomial((1, 0)).coeffs == (1,)  # trailing zeros trimmed
     assert IntPolynomial(()).coeffs == ()
     assert str(IntPolynomial((-1, 0, 4))) == "4x^2 - 1"
-
-
-def test_squarefree_decomposition_matches_sympy():
-    rng = random.Random(5)
-    for _ in range(25):
-        roots = [rng.randint(-3, 3) for _ in range(rng.randint(1, 6))]
-        poly = sympy.Poly(sympy.prod([(X - r) for r in roots]), X)
-        coeffs = tuple(reversed([int(c) for c in poly.all_coeffs()]))
-        ours = {
-            m: f.coeffs
-            for f, m in squarefree_decomposition(IntPolynomial(coeffs))
-            if f.degree > 0
-        }
-        ref = {}
-        for fac, m in sympy.factor_list(poly.as_expr())[1]:
-            fp = sympy.Poly(fac, X)
-            key = m
-            cs = tuple(reversed([int(c) for c in fp.all_coeffs()]))
-            if key in ref:
-                ref[key] = tuple(
-                    int(c)
-                    for c in reversed(
-                        sympy.Poly(
-                            sympy.Poly(list(reversed(ref[key])), X)
-                            * sympy.Poly(list(reversed(cs)), X),
-                            X,
-                        ).all_coeffs()
-                    )
-                )
-            else:
-                ref[key] = cs
-        assert set(ours) == set(ref)
-        for m in ours:
-            assert ours[m] == ref[m]
 
 
 def test_irreducible_factors_match_sympy():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -28,7 +30,7 @@ from specmult.hermitian import (
     adjacency_matrix,
     gain_graph,
 )
-from specmult.oracle import enumerate_trees
+from specmult.oracle import certified_spectrum, enumerate_connected, enumerate_trees
 from specmult.spectra import (
     AlgebraicEigenvalue,
     IntPolynomial,
@@ -38,6 +40,7 @@ from specmult.spectra import (
 from specmult.theorems import (
     RELATIONS,
     RelationProbe,
+    _classify,
     check_upper_bound,
     conclusion_classifier,
     corollary_minus_one_tree,
@@ -343,12 +346,29 @@ def test_classifier_decomposition_form():
     assert out.evidence["multiplicity"] == 3 and out.evidence["consistent"]
 
 
-def test_classifier_multiplicity_hint_trusted():
+def test_classify_trusts_precomputed_multiplicity():
     c5 = cycle_graph(5)
     a = adjacency_matrix(c5)
-    out = conclusion_classifier(c5, a, Fraction(2), multiplicity_hint=1)
+    out = _classify(c5, a, Fraction(2), 1e-8, 1, "precomputed")
     assert out.verdict == "OneDeficientFormB"
     assert out.evidence["method"] == "precomputed"
+
+
+def test_classifier_evidence_golden_digest():
+    """Classifier evidence for every adjacency eigenvalue of every connected
+    graph on 2..5 vertices, pinned byte for byte: reruns agreeing with
+    themselves cannot show drift that a refactor introduces."""
+    digest = hashlib.sha256()
+    outcomes = 0
+    for n in range(2, 6):
+        for g in enumerate_connected(n):
+            a = adjacency_matrix(g)
+            for c in certified_spectrum(a):
+                out = conclusion_classifier(g, a, c.lam)
+                digest.update(json.dumps(out.as_json(), sort_keys=True).encode())
+                outcomes += 1
+    assert outcomes == 3639
+    assert digest.hexdigest() == "0ba732f3f19dc3eb60fde18a9630f79e445ad4ee12d516bdcb1bb79caf12b5c0"
 
 
 def test_classifier_preconditions():
