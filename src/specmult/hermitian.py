@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     PatternMismatch,
 )
-from .graphs import Graph, SubgraphMap, VertexSet, induced_subgraph
+from .graphs import Graph, SubgraphMap, induced_subgraph
 from .structure import cycle_order, is_cycle_graph
 
 _APPROX_HERMITIAN_TOL = 1e-12

@@ -83,8 +83,11 @@ from .structure import (
 from .theorems import (
     RelationProbe,
     _affine_minpoly,
+    _bound_report,
     _classify,
+    _form_d_conditions,
     _form_d_structure,
+    _tree_conditions,
     check_upper_bound,
     corollary_minus_one_tree,
     corollary_nullity_tree,
@@ -94,8 +97,6 @@ from .theorems import (
     lemma_relation_checks,
     weighted_counterexample_check,
     structural_bound,
-    tree_equality_predicate,
-    unicyclic_equality_predicate,
 )
 
 # hard enumeration caps; beyond these the enumerators raise CapExceeded
@@ -840,7 +841,7 @@ def _campaign_trees(cfg: CampaignConfig, rec: _Recorder) -> None:
             for lam, mult in lams:
                 inst = _graph_instance(t, lam, multiplicity=mult, pendants=p)
                 if mult > 0:
-                    pred = tree_equality_predicate(t, a, lam, cfg.tol)
+                    pred = _tree_conditions(t, a, lam, cfg.tol)
                     rec.check(
                         "tree-equality",
                         bool(pred) == (mult == p - 1),
@@ -883,7 +884,7 @@ def _campaign_unicyclic(cfg: CampaignConfig, rec: _Recorder) -> None:
             clusters = certified_spectrum(a)
             for c in clusters:
                 inst = _graph_instance(g, c.lam, multiplicity=c.multiplicity, bound=bound)
-                rep = check_upper_bound(g, a, c.lam, cfg.tol)
+                rep = _bound_report(g, a, c.lam, cfg.tol)
                 rec.check("upper-bound", rep.holds, key, inst, rep.rhs, rep.lhs)
                 out = _classify(g, a, c.lam, cfg.tol, c.multiplicity, "precomputed")
                 rec.check(
@@ -903,7 +904,7 @@ def _campaign_unicyclic(cfg: CampaignConfig, rec: _Recorder) -> None:
                     f"multiplicity {c.multiplicity} vs target {bound - 1}",
                 )
                 if p >= 2:
-                    pred = unicyclic_equality_predicate(g, a, c.lam, cfg.tol)
+                    pred = _form_d_conditions(g, a, c.lam, cfg.tol)
                     rec.check(
                         "unicyclic-equality",
                         bool(pred) == (c.multiplicity == p + 1),
@@ -982,7 +983,7 @@ def _campaign_theta_infty(cfg: CampaignConfig, rec: _Recorder) -> None:
         bound = structural_bound(g)
         for c in certified_spectrum(a):
             inst = _graph_instance(g, c.lam, multiplicity=c.multiplicity, kind=kind)
-            rep = check_upper_bound(g, a, c.lam, cfg.tol)
+            rep = _bound_report(g, a, c.lam, cfg.tol)
             rec.check("upper-bound", rep.holds, key, inst, rep.rhs, rep.lhs)
             out = _classify(g, a, c.lam, cfg.tol, c.multiplicity, "precomputed")
             rec.check(
@@ -1272,6 +1273,8 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
         if only_mask is not None:
             masks = np.array([only_mask[1]], dtype=np.int64)
         for start in range(0, masks.size, chunk):
+            if rec.full:
+                return
             sub = masks[start : start + chunk]
             cnt = sub.size
             a_batch = np.zeros((cnt, n, n), dtype=np.int64)
@@ -1288,6 +1291,8 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
             theta_list = (ecount - n + 1).tolist()
             sub_list = sub.tolist()
             for row in range(cnt):
+                if rec.full:
+                    return
                 mask = sub_list[row]
                 key = f"conn:n{n}:m{mask}"
                 if not rec.take(key):

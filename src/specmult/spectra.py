@@ -1,9 +1,10 @@
 """Eigenvalue multiplicity machinery.
 
-Exact route: Gaussian elimination over Gaussian rationals for rank
-(multiplicity of a rational eigenvalue is n - rank(B - lambda*I)), and
-integer characteristic polynomials via Faddeev-LeVerrier for algebraic
-eigenvalues described by their monic integer minimal polynomial.
+Exact route: rank by fraction-free Bareiss elimination over the Gaussian
+integers, after clearing denominators (multiplicity of a rational eigenvalue
+is n - rank(B - lambda*I)), and integer characteristic polynomials via
+Faddeev-LeVerrier for algebraic eigenvalues described by their monic integer
+minimal polynomial.
 
 Numeric route: Hermitian eigendecomposition with a residual bound of
 10 * n * eps * ||B||  (c = 10; ||B|| is the spectral norm read off the
@@ -298,12 +299,15 @@ def multiplicity_via_minpoly(p: AnyPolynomial, mu: IntPolynomial) -> int:
 # Exact characteristic polynomial (Faddeev-LeVerrier over Gaussian integers)
 
 
-def _entry_den_lcm(b: HermitianMatrix) -> int:
-    d = 1
-    for row in b.entries:
-        for e in row:
-            d = math.lcm(d, e.re.denominator, e.im.denominator)
-    return d
+def _clear_denominators(
+    rows: Sequence[Sequence[ExactComplex]],
+) -> tuple[int, list[list[int]], list[list[int]]]:
+    """The lcm d of all entry denominators, with the real and imaginary
+    parts of d*rows as int tables."""
+    d = math.lcm(*{x.denominator for row in rows for e in row for x in (e.re, e.im)})
+    re = [[e.re.numerator * (d // e.re.denominator) for e in row] for row in rows]
+    im = [[e.im.numerator * (d // e.im.denominator) for e in row] for row in rows]
+    return d, re, im
 
 
 def scaled_char_poly(b: HermitianMatrix) -> tuple[IntPolynomial, int]:
@@ -315,9 +319,7 @@ def scaled_char_poly(b: HermitianMatrix) -> tuple[IntPolynomial, int]:
     if not b.is_exact:
         raise ParameterOutOfRange("exact characteristic polynomial needs exact entries")
     n = b.n
-    d = _entry_den_lcm(b)
-    cre = [[int(e.re * d) for e in row] for row in b.entries]
-    cim = [[int(e.im * d) for e in row] for row in b.entries]
+    d, cre, cim = _clear_denominators(b.entries)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     mre = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -376,33 +378,51 @@ def char_poly_exact(b: HermitianMatrix) -> AnyPolynomial:
 
 
 def exact_rank(rows: Sequence[Sequence[ExactComplex]]) -> int:
-    """Rank over the Gaussian rationals by fraction-exact elimination."""
-    work = [list(r) for r in rows]
-    nr = len(work)
-    nc = len(work[0]) if nr else 0
+    """Rank over the Gaussian rationals by fraction-free Bareiss elimination
+    over the Gaussian integers.
+
+    Denominators are cleared once; each elimination step then replaces an
+    entry x by (a*x - l*y) / q, where a is the pivot, l the row's leading
+    entry, y the pivot row's entry and q the previous pivot. By Sylvester's
+    identity the quotient is again a Gaussian integer, so it is computed as
+    num*conj(q) / |q|^2 and a nonzero remainder raises AssertionError rather
+    than yield a wrong rank. Rows are swapped to find a pivot; columns
+    without one are skipped.
+    """
+    _, re, im = _clear_denominators(rows)
+    # each work row holds (real parts, imaginary parts) of its not yet
+    # eliminated columns
+    work = list(zip(re, im))
     rank = 0
-    for col in range(nc):
-        if rank == nr:
-            break
-        piv = None
-        for r in range(rank, nr):
-            if not work[r][col].is_zero():
-                piv = r
-                break
-        if piv is None:
+    cr, ci, norm = 1, 0, 1  # conj(q) scaled so that x / q = x*(cr + ci*i) / norm
+    while work and work[0][0]:  # rows and columns remain
+        k = next((k for k, (r, i) in enumerate(work) if r[0] or i[0]), None)
+        if k is None:
+            work = [(r[1:], i[1:]) for r, i in work]
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        prow = work[rank]
-        for r in range(rank + 1, nr):
-            lead = work[r][col]
-            if lead.is_zero():
-                continue
-            f = lead / pv
-            row = work[r]
-            for c in range(col, nc):
-                row[c] = row[c] - f * prow[c]
+        prow, pirow = work.pop(k)
+        ar, ai = prow[0], pirow[0]
+        prow, pirow = prow[1:], pirow[1:]
+        nxt = []
+        for r, i in work:
+            lr, li = r[0], i[0]
+            out_re, out_im = [], []
+            for xr, xi, yr, yi in zip(r[1:], i[1:], prow, pirow):
+                tr = ar * xr - ai * xi - lr * yr + li * yi
+                ti = ar * xi + ai * xr - lr * yi - li * yr
+                qr, rem_r = divmod(tr * cr - ti * ci, norm)
+                qi, rem_i = divmod(ti * cr + tr * ci, norm)
+                if rem_r or rem_i:
+                    raise AssertionError("Bareiss step left a nonzero remainder")
+                out_re.append(qr)
+                out_im.append(qi)
+            nxt.append((out_re, out_im))
+        work = nxt
         rank += 1
+        if ai == 0:
+            cr, ci, norm = 1, 0, ar
+        else:
+            cr, ci, norm = ar, -ai, ar * ar + ai * ai
     return rank
 
 

@@ -149,6 +149,11 @@ def check_upper_bound(g: Graph, b: HermitianMatrix, lam: EigenvalueLike, tol: fl
         raise NotApplicable("bound check needs at least two vertices")
     if not validate_pattern(b, g):
         raise PatternMismatch("matrix is not in S(G)")
+    return _bound_report(g, b, lam, tol)
+
+
+def _bound_report(g: Graph, b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8) -> CheckReport:
+    """check_upper_bound on checked input."""
     m = _mult(b, lam, tol)
     bound = structural_bound(g)
     holds = m <= bound

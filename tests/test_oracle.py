@@ -353,6 +353,21 @@ def test_campaign_max_instances_truncates():
     assert summary["instances"] == 5
 
 
+def test_connected_sweep_stops_once_full(monkeypatch):
+    real = oracle_mod._batched_charpoly
+    orders = []
+
+    def counted(a_batch):
+        orders.append(a_batch.shape[1])
+        return real(a_batch)
+
+    monkeypatch.setattr(oracle_mod, "_batched_charpoly", counted)
+    summary, _ = _run("connected", cap=7, max_instances=50)
+    assert summary["instances"] == 50
+    # 1 + 4 + 38 graphs on 2..4 vertices, so the first n = 5 chunk fills it
+    assert orders == [2, 3, 4, 5]
+
+
 def test_campaign_time_budget():
     with pytest.raises(TimeBudgetExceeded) as err:
         _run("connected", cap=7, time_budget_secs=0.05)

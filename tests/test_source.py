@@ -33,3 +33,26 @@ def test_every_private_module_function_is_used():
                     defined.append((path.name, node.name))
             referenced |= names
     assert [d for d in defined if d[1] not in referenced] == []
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def test_no_unused_imports():
+    """A name imported into a module and used nowhere in it is dead weight;
+    the package's __init__ re-exports and is exempt."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [(path.name, name) for name in _imported_names(tree) if name not in used]
+    assert unused == []

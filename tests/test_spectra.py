@@ -5,7 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
+import specmult.spectra as spectra_mod
 from specmult.errors import AmbiguousCluster, ParameterOutOfRange
 from specmult.graphs import cycle_graph, path_graph, star_graph
 from specmult.hermitian import (
@@ -148,28 +150,102 @@ def test_char_poly_exact_rational_case():
     assert tuple(p.coeffs) == (0, 0, -4, 0, 1)
 
 
-def test_exact_rank_against_sympy():
+def _gauss_rational(rng, num: int, den: int) -> ExactComplex:
+    return ExactComplex(
+        Fraction(rng.randint(-num, num), rng.randint(1, den)),
+        Fraction(rng.randint(-num, num), rng.randint(1, den)),
+    )
+
+
+def _product(left, right):
+    inner = range(len(right))
+    return [
+        [sum((row[t] * right[t][j] for t in inner), ExactComplex()) for j in range(len(right[0]))]
+        for row in left
+    ]
+
+
+def _sympy_rank(rows, ncols: int) -> int:
+    m = sympy.Matrix(
+        len(rows),
+        ncols,
+        lambda i, j: sympy.Rational(rows[i][j].re) + sympy.I * sympy.Rational(rows[i][j].im),
+    )
+    return DomainMatrix.from_Matrix(m).to_field().rank()
+
+
+def _rank_cases():
+    """(rows, ncols) pairs: square and rectangular, full rank and rank k
+    products, sparse ones whose zero pivots force row swaps and column
+    skips, and denominators up to 10^6."""
     rng = random.Random(17)
     for _ in range(25):
         n = rng.randint(1, 6)
+        yield [[_gauss_rational(rng, 4, 3) for _ in range(n)] for _ in range(n)], n
+    for _ in range(30):
+        r, c = rng.randint(1, 10), rng.randint(1, 10)
+        yield [[_gauss_rational(rng, 10**6, 10**6) for _ in range(c)] for _ in range(r)], c
+    for _ in range(30):
+        n = rng.randint(2, 10)
+        k = rng.randint(1, n - 1)
+        r, c = (n, n) if rng.random() < 0.5 else (rng.randint(1, 10), rng.randint(1, 10))
+        den = rng.choice((1, 7, 10**6))
+        left = [[_gauss_rational(rng, 9, den) for _ in range(k)] for _ in range(r)]
+        right = [[_gauss_rational(rng, 9, den) for _ in range(c)] for _ in range(k)]
+        yield _product(left, right), c
+    for _ in range(30):
+        r, c = rng.randint(2, 10), rng.randint(2, 10)
         rows = [
-            [
-                ExactComplex(
-                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                    Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
-                )
-                for _ in range(n)
-            ]
-            for _ in range(n)
+            [_gauss_rational(rng, 3, 5) if rng.random() < 0.3 else ExactComplex() for _ in range(c)]
+            for _ in range(r)
         ]
+        lead = rng.randint(0, c - 1)  # zero leading columns
+        for row in rows:
+            row[:lead] = [ExactComplex()] * lead
+            row[-1] = row[lead] * 2  # a dependent column
+        yield rows, c
+
+
+def test_exact_rank_against_sympy():
+    deficient = 0
+    for rows, ncols in _rank_cases():
         ours = exact_rank(rows)
-        m = sympy.Matrix(
-            [
-                [sympy.Rational(e.re) + sympy.I * sympy.Rational(e.im) for e in row]
-                for row in rows
-            ]
-        )
-        assert ours == m.rank()
+        assert ours == _sympy_rank(rows, ncols)
+        deficient += ours < min(len(rows), ncols)
+    assert deficient >= 40
+
+
+def test_exact_rank_swaps_rows_and_skips_columns():
+    z, one, two = ExactComplex(), ExactComplex(1), ExactComplex(2)
+    # column 0 has no pivot, column 1's first entry is zero, and column 2
+    # is 3/2 times column 1 below the first row
+    rows = [[z, z, one], [z, two, ExactComplex(3)], [z, ExactComplex(4), ExactComplex(6)]]
+    assert exact_rank(rows) == 2
+    i = ExactComplex(0, 1)
+    assert exact_rank([[z, i], [i, z]]) == 2
+    assert exact_rank([[one, i], [i, ExactComplex(-1)]]) == 1  # row 2 = i * row 1
+
+
+def test_exact_rank_of_empty_matrices():
+    assert exact_rank([]) == 0
+    assert exact_rank([[], [], []]) == 0
+
+
+def test_exact_rank_raises_on_an_inexact_division(monkeypatch):
+    # a clearing helper that forgets to scale leaves non-integers in the
+    # tables; the step that divides by the previous pivot 2 then leaves a
+    # remainder, which must raise instead of returning a rank
+    monkeypatch.setattr(
+        spectra_mod,
+        "_clear_denominators",
+        lambda rows: (1, [[e.re for e in r] for r in rows], [[e.im for e in r] for r in rows]),
+    )
+    z, two, half = ExactComplex(), ExactComplex(2), ExactComplex(Fraction(1, 2))
+    half_i = ExactComplex(0, Fraction(1, 2))
+    # the remainder falls in the real part, then in the imaginary part
+    for d1, d2 in [(half, half), (half_i, half)]:
+        with pytest.raises(AssertionError, match="remainder"):
+            exact_rank([[two, z, z], [z, d1, z], [z, z, d2]])
 
 
 def test_multiplicity_exact_rational_fixture():
