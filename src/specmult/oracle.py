@@ -16,6 +16,13 @@ one-deficient (plus every graph where some multiplicity actually hits the
 target). For the decomposition form that gate is the classifier's own
 lambda-independent half, theorems._form_d_structure.
 
+Profiles and irreducible factors (with their exact root descriptors) are
+pure functions of the exact integer coefficient tuple, and the n <= 7 sweep
+has only 962 distinct characteristic polynomials among 1,893,731 graphs, so
+both are memoised by coefficient tuple (_cached_profile, _spectral_factors);
+certified_spectrum shares the factor memo. Classifier verdicts are never
+reused: every labeled graph is still classified on its own.
+
 Wall-clock budget: set SPECMULT_TIME_BUDGET_SECS (or CampaignConfig's
 time_budget_secs) to abort long campaigns with partial results attached to
 the raised TimeBudgetExceeded.
@@ -32,7 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -515,6 +523,13 @@ def int_multiplicity_profile(coeffs) -> dict[int, int]:
     return profile
 
 
+@lru_cache(maxsize=4096)
+def _cached_profile(coeffs: tuple) -> Mapping[int, int]:
+    """int_multiplicity_profile(coeffs), memoised; read-only because every
+    caller with the same coefficients shares it."""
+    return MappingProxyType(int_multiplicity_profile(coeffs))
+
+
 def _batched_charpoly(a_batch: np.ndarray) -> np.ndarray:
     """Characteristic polynomials of a batch of small integer symmetric
     matrices (Faddeev-LeVerrier), coefficients lowest degree first."""
@@ -553,7 +568,7 @@ class CertifiedCluster:
     approx: float
 
 
-def _factor_roots(f: IntPolynomial) -> list:
+def _factor_roots(f: IntPolynomial) -> tuple:
     """Exact descriptors of every root of an irreducible factor of a
     Hermitian characteristic polynomial, ascending.
 
@@ -562,13 +577,23 @@ def _factor_roots(f: IntPolynomial) -> list:
     returning a short spectrum.
     """
     if f.degree == 1:
-        return [Fraction(-f.coeffs[0], f.coeffs[1])]
+        return (Fraction(-f.coeffs[0], f.coeffs[1]),)
     roots = _real_roots(f.coeffs)
     if len(roots) != f.degree:
         raise AssertionError(
             f"factor {f} of degree {f.degree} yielded {len(roots)} real roots"
         )
-    return [AlgebraicEigenvalue(f, r) for r in roots]
+    return tuple(AlgebraicEigenvalue(f, r) for r in roots)
+
+
+@lru_cache(maxsize=4096)
+def _spectral_factors(coeffs: tuple) -> tuple:
+    """(multiplicity, root descriptors) for each irreducible factor of the
+    integer polynomial with these coefficients, in irreducible_factors'
+    order; memoised, so the result is immutable."""
+    return tuple(
+        (mult, _factor_roots(f)) for f, mult in irreducible_factors(IntPolynomial(coeffs))
+    )
 
 
 def certified_spectrum(b: HermitianMatrix) -> list[CertifiedCluster]:
@@ -576,8 +601,8 @@ def certified_spectrum(b: HermitianMatrix) -> list[CertifiedCluster]:
     p, d = scaled_char_poly(b)
     out = [
         CertifiedCluster(lam, mult, d, eigenvalue_float(lam) / d)
-        for f, mult in irreducible_factors(p)
-        for lam in _factor_roots(f)
+        for mult, roots in _spectral_factors(p.coeffs)
+        for lam in roots
     ]
     if sum(c.multiplicity for c in out) != b.n:
         raise AssertionError("certified multiplicities do not sum to the matrix order")
@@ -1140,7 +1165,7 @@ def _campaign_random(cfg: CampaignConfig, rec: _Recorder) -> None:
             b = random_in_S(g, seed)
             bound = structural_bound(g)
             p, _d = scaled_char_poly(b)
-            profile = int_multiplicity_profile(p.coeffs)
+            profile = _cached_profile(p.coeffs)
             maxm = max(profile)
             ok = maxm <= bound and (maxm < bound or (is_cycle_graph(g) and bound == 2))
             inst = _graph_instance(g, seed=seed, profile=sorted(profile.items()), bound=bound)
@@ -1300,7 +1325,8 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
                 theta = theta_list[row]
                 p = pend_list[row]
                 bound = 2 * theta + p
-                profile = int_multiplicity_profile(coeffs_list[row])
+                charpoly = tuple(coeffs_list[row])
+                profile = _cached_profile(charpoly)
                 maxm = max(profile)
                 cyc = theta == 1 and p == 0
                 ok = maxm <= bound and (maxm < bound or (cyc and bound == 2))
@@ -1333,10 +1359,10 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
                 if g_obj is None:
                     g_obj = Graph(n, _mask_edges(mask, slots))
                 a = adjacency_matrix(g_obj)
-                for f, mult in irreducible_factors(IntPolynomial(coeffs_list[row])):
+                for mult, roots in _spectral_factors(charpoly):
                     if not (need_all or mult == bound - 1):
                         continue
-                    for lam in _factor_roots(f):
+                    for lam in roots:
                         out = _classify(g_obj, a, lam, cfg.tol, mult, "precomputed")
                         inst = _graph_instance(
                             g_obj, lam, multiplicity=mult, bound=bound

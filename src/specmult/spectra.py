@@ -310,16 +310,9 @@ def _clear_denominators(
     return d, re, im
 
 
-def scaled_char_poly(b: HermitianMatrix) -> tuple[IntPolynomial, int]:
-    """Integer charpoly of d*B together with the denominator-clearing d.
-
-    Roots correspond by lambda <-> d*lambda; d = 1 when the entries are
-    Gaussian integers.
-    """
-    if not b.is_exact:
-        raise ParameterOutOfRange("exact characteristic polynomial needs exact entries")
-    n = b.n
-    d, cre, cim = _clear_denominators(b.entries)
+def _faddeev_leverrier(cre: Sequence[Sequence[int]], cim: Sequence[Sequence[int]]) -> IntPolynomial:
+    """Integer charpoly of the Gaussian integer matrix cre + i*cim."""
+    n = len(cre)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     mre = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -351,13 +344,27 @@ def scaled_char_poly(b: HermitianMatrix) -> tuple[IntPolynomial, int]:
         for i in rng:
             nre[i][i] += c
         mre, mim = nre, nim
-    return IntPolynomial(coeffs), d
+    return IntPolynomial(coeffs)
+
+
+def scaled_char_poly(b: HermitianMatrix) -> tuple[IntPolynomial, int]:
+    """Integer charpoly of d*B together with the denominator-clearing d.
+
+    Roots correspond by lambda <-> d*lambda; d = 1 when the entries are
+    Gaussian integers.
+    """
+    if not b.is_exact:
+        raise ParameterOutOfRange("exact characteristic polynomial needs exact entries")
+    d, cre, cim = _clear_denominators(b.entries)
+    return _faddeev_leverrier(cre, cim), d
 
 
 @lru_cache(maxsize=4096)
-def _scaled_char_poly_cached(b: HermitianMatrix) -> tuple[IntPolynomial, int]:
-    # exhaustive sweeps hit the same small principal submatrices constantly
-    return scaled_char_poly(b)
+def _char_poly_of_tables(cre: tuple, cim: tuple) -> IntPolynomial:
+    # exhaustive sweeps hit the same small principal submatrices constantly;
+    # keyed on the cleared int tables (the charpoly of d*B depends on
+    # nothing else), which hash without touching a Fraction or the pattern
+    return _faddeev_leverrier(cre, cim)
 
 
 def char_poly_exact(b: HermitianMatrix) -> AnyPolynomial:
@@ -502,7 +509,10 @@ def multiplicity_exact_rational(b: HermitianMatrix, lam) -> MultiplicityResult:
 
 def multiplicity_exact_algebraic(b: HermitianMatrix, lam: AlgebraicEigenvalue) -> MultiplicityResult:
     """Multiplicity of an algebraic eigenvalue by charpoly / minpoly division."""
-    scaled, d = _scaled_char_poly_cached(b)
+    if not b.is_exact:
+        raise ParameterOutOfRange("exact multiplicity needs exact entries")
+    d, cre, cim = _clear_denominators(b.entries)
+    scaled = _char_poly_of_tables(tuple(map(tuple, cre)), tuple(map(tuple, cim)))
     nu = scale_minpoly(lam.minpoly, d)
     if not nu.is_monic:
         # the minimal polynomial of d*lambda, normalized primitive

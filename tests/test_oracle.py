@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -305,6 +306,22 @@ def test_certified_spectrum_raises_when_multiplicities_fall_short(monkeypatch):
         certified_spectrum(adjacency_matrix(cycle_graph(6)))
 
 
+def test_certified_spectrum_memo_hands_out_fresh_lists():
+    b = adjacency_matrix(cycle_graph(6))
+    first = certified_spectrum(b)
+    expected = list(first)
+    first.pop()
+    first.reverse()
+    second = certified_spectrum(b)
+    oracle_mod._spectral_factors.cache_clear()
+    assert second == certified_spectrum(b) == expected
+    coeffs = scaled_char_poly(b)[0].coeffs
+    memo = oracle_mod._spectral_factors(coeffs)
+    assert isinstance(memo, tuple) and all(isinstance(roots, tuple) for _, roots in memo)
+    with pytest.raises(TypeError):
+        oracle_mod._cached_profile(coeffs)[1] = 6
+
+
 # ---------------------------------------------------------------------------
 # Campaign harness
 
@@ -366,6 +383,39 @@ def test_connected_sweep_stops_once_full(monkeypatch):
     assert summary["instances"] == 50
     # 1 + 4 + 38 graphs on 2..4 vertices, so the first n = 5 chunk fills it
     assert orders == [2, 3, 4, 5]
+
+
+def _summary_sha1(summary) -> str:
+    return hashlib.sha1(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+
+
+def test_connected_sweep_profiles_and_factors_each_charpoly_once(monkeypatch):
+    seen = {"int_multiplicity_profile": [], "irreducible_factors": []}
+    for name, calls in seen.items():
+        real = getattr(oracle_mod, name)
+
+        def counted(p, real=real, calls=calls):
+            calls.append(tuple(getattr(p, "coeffs", p)))
+            return real(p)
+
+        monkeypatch.setattr(oracle_mod, name, counted)
+    summary, _ = _run("connected", cap=5)
+    assert _summary_sha1(summary) == "5f36a44cf15de048bc12bc72d4eabe6e62c09fbb"
+    charpolys = {
+        scaled_char_poly(adjacency_matrix(g))[0].coeffs
+        for n in range(2, 6)
+        for g in enumerate_connected(n)
+    }
+    assert sorted(seen["int_multiplicity_profile"]) == sorted(charpolys)
+    factored = seen["irreducible_factors"]
+    assert factored and len(factored) == len(set(factored)) and set(factored) <= charpolys
+
+
+def test_connected_sweep_cap6_summary_digest():
+    summary, discrepancies = _run("connected", cap=6)
+    assert summary["instances"] == 27475 and summary["checks"] == 71301
+    assert discrepancies == []
+    assert _summary_sha1(summary) == "3eab773926f632506a66d31c9f09c2b30208c96d"
 
 
 def test_campaign_time_budget():
