@@ -85,9 +85,6 @@ class Graph:
             u, v = v, u
         return (u, v) in self.edge_set
 
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, edges={list(self.edges)})"
 

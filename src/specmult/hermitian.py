@@ -141,9 +141,6 @@ def _coerce(x) -> ExactComplex | None:
 EC_ZERO = ExactComplex(0, 0)
 EC_ONE = ExactComplex(1, 0)
 
-# The floating scalar is just the built-in complex.
-ApproxComplex = complex
-
 Scalar = Union[ExactComplex, complex]
 
 
@@ -167,9 +164,6 @@ class HermitianMatrix:
     @property
     def is_exact(self) -> bool:
         return self.scalar == "exact"
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.entries[i][j]
 
     def to_numpy(self):
         import numpy as np
@@ -430,37 +424,29 @@ def a_alpha_gain(phi: GainGraph, alpha, scalar: str = "approx") -> HermitianMatr
     return HermitianMatrix(g.n, tuple(rows_c), g, "approx")
 
 
-@dataclass(frozen=True)
-class RandomWeightConfig:
-    """Ranges for the exact sampler: numerators, denominators, diagonal."""
-
-    num_lo: int = -10
-    num_hi: int = 10
-    den_hi: int = 4
-    diag_lo: int = -10
-    diag_hi: int = 10
+# ranges for random_in_S: numerators of each part, denominators, diagonal
+_RANDOM_NUM = (-10, 10)
+_RANDOM_DEN_HI = 4
+_RANDOM_DIAG = (-10, 10)
 
 
-def random_in_S(g: Graph, seed: int, config: RandomWeightConfig | None = None) -> HermitianMatrix:
+def random_in_S(g: Graph, seed: int) -> HermitianMatrix:
     """Deterministic random exact Hermitian matrix with pattern g.
 
     Every edge weight is a nonzero Gaussian rational (zero draws are
     resampled); the diagonal is real rational.
     """
-    cfg = config or RandomWeightConfig()
     rng = random.Random(seed)
 
     def draw_frac(lo: int, hi: int) -> Fraction:
-        return Fraction(rng.randint(lo, hi), rng.randint(1, cfg.den_hi))
+        return Fraction(rng.randint(lo, hi), rng.randint(1, _RANDOM_DEN_HI))
 
     ents: list[list[Scalar]] = [[EC_ZERO] * g.n for _ in range(g.n)]
     for i in range(g.n):
-        ents[i][i] = ExactComplex(draw_frac(cfg.diag_lo, cfg.diag_hi), 0)
+        ents[i][i] = ExactComplex(draw_frac(*_RANDOM_DIAG), 0)
     for u, v in g.edges:
         while True:
-            w = ExactComplex(
-                draw_frac(cfg.num_lo, cfg.num_hi), draw_frac(cfg.num_lo, cfg.num_hi)
-            )
+            w = ExactComplex(draw_frac(*_RANDOM_NUM), draw_frac(*_RANDOM_NUM))
             if not w.is_zero():
                 break
         ents[u][v] = w

@@ -23,6 +23,13 @@ both are memoised by coefficient tuple (_cached_profile, _spectral_factors);
 certified_spectrum shares the factor memo. Classifier verdicts are never
 reused: every labeled graph is still classified on its own.
 
+run_campaign alone resolves a campaign's cap: None means the campaign's
+default, any other value is used as given, and a value above the campaign's
+ceiling raises CapExceeded (fixtures and guvh take no cap and ignore it).
+max_instances stops admission: the campaign ends at the first instance past
+the limit and its summary still reads complete, because the limit was asked
+for.
+
 Wall-clock budget: set SPECMULT_TIME_BUDGET_SECS (or CampaignConfig's
 time_budget_secs) to abort long campaigns with partial results attached to
 the raised TimeBudgetExceeded.
@@ -78,7 +85,6 @@ from .spectra import (
     eigenvalue_float,
     eigenvalues_numeric,
     irreducible_factors,
-    min_poly_2cos,
     multiplicity,
     scaled_char_poly,
 )
@@ -90,11 +96,11 @@ from .structure import (
 )
 from .theorems import (
     RelationProbe,
-    _affine_minpoly,
     _bound_report,
     _classify,
     _form_d_conditions,
     _form_d_structure,
+    _gain_closed_forms,
     _tree_conditions,
     check_upper_bound,
     corollary_minus_one_tree,
@@ -649,6 +655,11 @@ class Discrepancy:
         }
 
 
+class _Full(Exception):
+    """Raised by _Recorder.take once max_instances are admitted; run_campaign
+    ends the campaign there."""
+
+
 class _Recorder:
     def __init__(self, cfg: CampaignConfig, cap: int):
         self.cfg = cfg
@@ -674,7 +685,10 @@ class _Recorder:
         )
 
     def take(self, key: str) -> bool:
-        """Admit one instance (False when filtered out by --only)."""
+        """Admit one instance (False when filtered out by --only); raises
+        _Full once max_instances are admitted."""
+        if self.full:
+            raise _Full
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise TimeBudgetExceeded(
                 "campaign ran out of wall-clock budget",
@@ -682,8 +696,6 @@ class _Recorder:
                 discrepancies=self.discrepancies,
             )
         if self.cfg.only is not None and key != self.cfg.only:
-            return False
-        if self.full:
             return False
         self.instances += 1
         return True
@@ -740,6 +752,31 @@ def _form_d_gate(g: Graph) -> bool:
     clauses, behind the cheap nonempty-M test that rejects almost every
     graph before blocks and pieces are computed."""
     return bool(major_sets(g).M) and all(_form_d_structure(g)[0].values())
+
+
+def _check_classifier(
+    rec: _Recorder, key: str, g: Graph, a: HermitianMatrix, lam, mult: int, inst: dict
+) -> None:
+    """Classify lambda at its known multiplicity; record that the verdict is
+    free of violations and one-deficient exactly when mult = bound - 1."""
+    out = _classify(g, a, lam, rec.cfg.tol, mult, "precomputed")
+    target = out.evidence["bound"] - 1
+    rec.check(
+        "classifier-consistency",
+        out.evidence["consistent"],
+        key,
+        inst,
+        "no violations",
+        out.evidence["violations"],
+    )
+    rec.check(
+        "one-deficient-iff",
+        out.verdict.startswith("OneDeficient") == (mult == target),
+        key,
+        inst,
+        f"verdict {out.verdict}",
+        f"multiplicity {mult} vs target {target}",
+    )
 
 
 def _campaign_fixtures(cfg: CampaignConfig, rec: _Recorder) -> None:
@@ -805,11 +842,8 @@ def _campaign_fixtures(cfg: CampaignConfig, rec: _Recorder) -> None:
 
 
 def _campaign_corollaries(cfg: CampaignConfig, rec: _Recorder) -> None:
-    cap = min(cfg.cap or CAP_TREES_DEDUPED, CAP_TREES_DEDUPED)
-    for n in range(2, cap + 1):
+    for n in range(2, rec.cap + 1):
         for idx, t in enumerate(enumerate_trees(n, dedupe=True)):
-            if rec.full:
-                return
             key = f"tree:n{n}:i{idx}"
             if not rec.take(key):
                 continue
@@ -839,12 +873,9 @@ def _campaign_corollaries(cfg: CampaignConfig, rec: _Recorder) -> None:
 
 
 def _campaign_trees(cfg: CampaignConfig, rec: _Recorder) -> None:
-    cap = min(cfg.cap or CAP_TREES_DEDUPED, CAP_TREES_DEDUPED)
     int_probes = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
-    for n in range(2, cap + 1):
+    for n in range(2, rec.cap + 1):
         for idx, t in enumerate(enumerate_trees(n, dedupe=True)):
-            if rec.full:
-                return
             key = f"tree:n{n}:i{idx}"
             if not rec.take(key):
                 continue
@@ -875,31 +906,12 @@ def _campaign_trees(cfg: CampaignConfig, rec: _Recorder) -> None:
                         f"conditions {bool(pred)}",
                         f"multiplicity {mult} vs target {p - 1}",
                     )
-                out = _classify(t, a, lam, cfg.tol, mult, "precomputed")
-                rec.check(
-                    "classifier-consistency",
-                    out.evidence["consistent"],
-                    key,
-                    inst,
-                    "no violations",
-                    out.evidence["violations"],
-                )
-                rec.check(
-                    "one-deficient-iff",
-                    out.verdict.startswith("OneDeficient") == (mult == p - 1),
-                    key,
-                    inst,
-                    f"verdict {out.verdict}",
-                    f"multiplicity {mult} vs target {p - 1}",
-                )
+                _check_classifier(rec, key, t, a, lam, mult, inst)
 
 
 def _campaign_unicyclic(cfg: CampaignConfig, rec: _Recorder) -> None:
-    cap = min(cfg.cap or CAP_UNICYCLIC_DEDUPED, CAP_UNICYCLIC_DEDUPED)
-    for n in range(3, cap + 1):
+    for n in range(3, rec.cap + 1):
         for idx, g in enumerate(enumerate_unicyclic(n, dedupe=True)):
-            if rec.full:
-                return
             key = f"unicyclic:n{n}:i{idx}"
             if not rec.take(key):
                 continue
@@ -911,23 +923,7 @@ def _campaign_unicyclic(cfg: CampaignConfig, rec: _Recorder) -> None:
                 inst = _graph_instance(g, c.lam, multiplicity=c.multiplicity, bound=bound)
                 rep = _bound_report(g, a, c.lam, cfg.tol)
                 rec.check("upper-bound", rep.holds, key, inst, rep.rhs, rep.lhs)
-                out = _classify(g, a, c.lam, cfg.tol, c.multiplicity, "precomputed")
-                rec.check(
-                    "classifier-consistency",
-                    out.evidence["consistent"],
-                    key,
-                    inst,
-                    "no violations",
-                    out.evidence["violations"],
-                )
-                rec.check(
-                    "one-deficient-iff",
-                    out.verdict.startswith("OneDeficient") == (c.multiplicity == bound - 1),
-                    key,
-                    inst,
-                    f"verdict {out.verdict}",
-                    f"multiplicity {c.multiplicity} vs target {bound - 1}",
-                )
+                _check_classifier(rec, key, g, a, c.lam, c.multiplicity, inst)
                 if p >= 2:
                     pred = _form_d_conditions(g, a, c.lam, cfg.tol)
                     rec.check(
@@ -963,10 +959,7 @@ def _pendant_cycle_witnesses(g: Graph) -> list[int]:
 
 
 def _campaign_cstar(cfg: CampaignConfig, rec: _Recorder) -> None:
-    cap = min(cfg.cap or CAP_CSTAR, CAP_CSTAR)
-    for m, t, g in enumerate_cstar_shapes(cap):
-        if rec.full:
-            return
+    for m, t, g in enumerate_cstar_shapes(rec.cap):
         key = f"cstar:m{m}:t{t}"
         if not rec.take(key):
             continue
@@ -997,10 +990,7 @@ def _campaign_cstar(cfg: CampaignConfig, rec: _Recorder) -> None:
 
 
 def _campaign_theta_infty(cfg: CampaignConfig, rec: _Recorder) -> None:
-    cap = min(cfg.cap or 6, CAP_THETA_INFTY_PARAM)
-    for kind, params, g in enumerate_theta_infinity(cap):
-        if rec.full:
-            return
+    for kind, params, g in enumerate_theta_infinity(rec.cap):
         key = f"{kind}:{'-'.join(map(str, params))}"
         if not rec.take(key):
             continue
@@ -1010,23 +1000,7 @@ def _campaign_theta_infty(cfg: CampaignConfig, rec: _Recorder) -> None:
             inst = _graph_instance(g, c.lam, multiplicity=c.multiplicity, kind=kind)
             rep = _bound_report(g, a, c.lam, cfg.tol)
             rec.check("upper-bound", rep.holds, key, inst, rep.rhs, rep.lhs)
-            out = _classify(g, a, c.lam, cfg.tol, c.multiplicity, "precomputed")
-            rec.check(
-                "classifier-consistency",
-                out.evidence["consistent"],
-                key,
-                inst,
-                "no violations",
-                out.evidence["violations"],
-            )
-            rec.check(
-                "one-deficient-iff",
-                out.verdict.startswith("OneDeficient") == (c.multiplicity == bound - 1),
-                key,
-                inst,
-                f"verdict {out.verdict}",
-                f"multiplicity {c.multiplicity} vs target {bound - 1}",
-            )
+            _check_classifier(rec, key, g, a, c.lam, c.multiplicity, inst)
             if c.multiplicity == bound - 1:
                 probe = RelationProbe("theta-infty", tol=cfg.tol)
                 try:
@@ -1036,7 +1010,7 @@ def _campaign_theta_infty(cfg: CampaignConfig, rec: _Recorder) -> None:
                 rec.check("theta-infty-deletions", rel.holds, key, rel.instance, rel.rhs, rel.lhs)
 
 
-def _gain_variants(n: int) -> list[tuple[str, dict]]:
+def _gain_variants() -> list[tuple[str, dict]]:
     i_unit = ExactComplex(0, 1)
     variants = [
         ("unit", {}),
@@ -1047,28 +1021,11 @@ def _gain_variants(n: int) -> list[tuple[str, dict]]:
     return variants
 
 
-def _closed_form_targets(n: int, alpha: Fraction, rho_pi: bool):
-    """Exact descriptors for the doubled eigenvalues of the gain cycle."""
-    out = []
-    js = range(0, n // 2) if rho_pi else range(1, (n + 1) // 2)
-    for j in js:
-        mu = min_poly_2cos(2 * n, 2 * j + 1) if rho_pi else min_poly_2cos(n, j)
-        chi = _affine_minpoly(mu, 2 * alpha, 1 - alpha)
-        ang = (2 * j + 1) * math.pi / n if rho_pi else 2 * j * math.pi / n
-        val = 2.0 * float(alpha) + 2.0 * (1.0 - float(alpha)) * math.cos(ang)
-        if chi.degree == 1:
-            out.append((Fraction(-chi.coeffs[0], chi.coeffs[1]), val, j))
-        else:
-            out.append((AlgebraicEigenvalue(chi, val), val, j))
-    return out
-
-
 def _campaign_gain_cycles(cfg: CampaignConfig, rec: _Recorder) -> None:
-    cap = min(cfg.cap or CAP_GAIN_CYCLE, CAP_GAIN_CYCLE)
     alphas = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    for n in range(3, cap + 1):
+    for n in range(3, rec.cap + 1):
         base = cycle_graph(n)
-        for tag, assignment in _gain_variants(n):
+        for tag, assignment in _gain_variants():
             phi = gain_graph(base, assignment)
             rho = cycle_gain(phi).value
             rho_pi = rho == ExactComplex(-1, 0)
@@ -1076,8 +1033,6 @@ def _campaign_gain_cycles(cfg: CampaignConfig, rec: _Recorder) -> None:
             if not (rho_pi or rho_zero):
                 raise AssertionError("campaign variants must have gain +1 or -1")
             for alpha in alphas:
-                if rec.full:
-                    return
                 key = f"gain:n{n}:{tag}:a{alpha}"
                 if not rec.take(key):
                     continue
@@ -1089,11 +1044,11 @@ def _campaign_gain_cycles(cfg: CampaignConfig, rec: _Recorder) -> None:
                         groups[-1].append(v)
                     else:
                         groups.append([v])
-                targets = _closed_form_targets(n, alpha, rho_pi)
+                targets = [(lam, val) for _, _, lam, val in _gain_closed_forms(n, alpha, rho_pi)]
                 inst = _graph_instance(base, alpha=str(alpha), variant=tag, rho="-1" if rho_pi else "+1")
                 for grp in groups:
                     repv = sum(grp) / len(grp)
-                    near = min(abs(repv - val) for _, val, _ in targets) if targets else float("inf")
+                    near = min(abs(repv - val) for _, val in targets) if targets else float("inf")
                     rec.check(
                         "gain-bound",
                         len(grp) <= 2,
@@ -1113,12 +1068,12 @@ def _campaign_gain_cycles(cfg: CampaignConfig, rec: _Recorder) -> None:
                 # exact route through the relation check, plus rational probes
                 a_ex = a_alpha_gain(phi, alpha, scalar="exact")
                 probe = RelationProbe("gain-cycle", alpha=alpha, gains=phi, tol=cfg.tol)
-                lams = [lam for lam, _, _ in targets]
+                lams = [lam for lam, _ in targets]
                 lams += [Fraction(v) for v in (-1, 0, 2)]
                 for lam in lams:
                     rel = lemma_relation_checks(base, a_ex, lam, probe)
                     rec.check("gain-relation", rel.holds, key, rel.instance, rel.rhs, rel.lhs)
-                for lam, val, _ in targets:
+                for lam, val in targets:
                     m_exact = multiplicity(a_ex, lam).multiplicity
                     cnt = sum(1 for v in spec.values if abs(v - val) <= cfg.tol)
                     rec.check(
@@ -1146,13 +1101,12 @@ def _random_connected_graph(rng: random.Random, n: int) -> Graph:
 
 
 def _campaign_random(cfg: CampaignConfig, rec: _Recorder) -> None:
-    cap = min(cfg.cap or CAP_RANDOM_N, CAP_RANDOM_N)
+    if rec.cap < 2:
+        return  # no pattern on 2..cap vertices to draw from
     graphs = 500
     rng = random.Random(0x5EED)
     for gi in range(1, graphs + 1):
-        if rec.full:
-            return
-        n = rng.randint(2, cap)
+        n = rng.randint(2, rec.cap)
         g = _random_connected_graph(rng, n)
         seeds = [rng.randrange(1 << 30) for _ in range(cfg.seeds)]
         for si, seed in enumerate(seeds):
@@ -1165,7 +1119,7 @@ def _campaign_random(cfg: CampaignConfig, rec: _Recorder) -> None:
             b = random_in_S(g, seed)
             bound = structural_bound(g)
             p, _d = scaled_char_poly(b)
-            profile = _cached_profile(p.coeffs)
+            profile = int_multiplicity_profile(p.coeffs)
             maxm = max(profile)
             ok = maxm <= bound and (maxm < bound or (is_cycle_graph(g) and bound == 2))
             inst = _graph_instance(g, seed=seed, profile=sorted(profile.items()), bound=bound)
@@ -1258,11 +1212,8 @@ def _build_guvh_instance(rng: random.Random):
 
 
 def _campaign_guvh(cfg: CampaignConfig, rec: _Recorder) -> None:
-    total = cfg.max_instances or 200
     rng = random.Random(39473)
-    for i in range(total):
-        if rec.full:
-            return
+    for i in range(200):
         key = f"guvh:i{i}"
         g, b, lam, probe = _build_guvh_instance(rng)
         if not rec.take(key):
@@ -1284,24 +1235,28 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
     one-deficient verdict is structurally possible or the multiplicity
     actually hits bound - 1.
     """
-    cap = min(cfg.cap or CAP_CONNECTED, CAP_CONNECTED)
     only_mask = None
     if cfg.only is not None and cfg.only.startswith("conn:"):
         parts = cfg.only.split(":")
         only_mask = (int(parts[1][1:]), int(parts[2][1:]))
     chunk = 8192
-    for n in range(2, cap + 1):
+    for n in range(2, rec.cap + 1):
         if only_mask is not None and only_mask[0] != n:
             continue
         slots = _edge_slots(n)
-        masks = _connected_masks(n)
-        if only_mask is not None:
-            masks = np.array([only_mask[1]], dtype=np.int64)
-        for start in range(0, masks.size, chunk):
-            if rec.full:
-                return
+        start = 0
+        # a chunk's batch (and a new order's masks) are built before any of
+        # its graphs is admitted, so stop asking once the recorder is full
+        while not rec.full:
+            if only_mask is None:
+                masks = _connected_masks(n)
+            else:
+                masks = np.array([only_mask[1]], dtype=np.int64)
             sub = masks[start : start + chunk]
             cnt = sub.size
+            if not cnt:
+                break
+            start += chunk
             a_batch = np.zeros((cnt, n, n), dtype=np.int64)
             for idx, (u, v) in enumerate(slots):
                 bit = (sub >> idx) & 1
@@ -1316,8 +1271,6 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
             theta_list = (ecount - n + 1).tolist()
             sub_list = sub.tolist()
             for row in range(cnt):
-                if rec.full:
-                    return
                 mask = sub_list[row]
                 key = f"conn:n{n}:m{mask}"
                 if not rec.take(key):
@@ -1363,56 +1316,25 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
                     if not (need_all or mult == bound - 1):
                         continue
                     for lam in roots:
-                        out = _classify(g_obj, a, lam, cfg.tol, mult, "precomputed")
-                        inst = _graph_instance(
-                            g_obj, lam, multiplicity=mult, bound=bound
-                        )
-                        rec.check(
-                            "classifier-consistency",
-                            out.evidence["consistent"],
-                            key,
-                            inst,
-                            "no violations",
-                            out.evidence["violations"],
-                        )
-                        rec.check(
-                            "one-deficient-iff",
-                            out.verdict.startswith("OneDeficient")
-                            == (mult == bound - 1),
-                            key,
-                            inst,
-                            f"verdict {out.verdict}",
-                            f"multiplicity {mult} vs target {bound - 1}",
-                        )
+                        inst = _graph_instance(g_obj, lam, multiplicity=mult, bound=bound)
+                        _check_classifier(rec, key, g_obj, a, lam, mult, inst)
 
 
+# campaign -> (body, default cap, ceiling); fixtures and guvh take no cap
 _CAMPAIGNS = {
-    "connected": _campaign_connected,
-    "corollaries": _campaign_corollaries,
-    "cstar": _campaign_cstar,
-    "fixtures": _campaign_fixtures,
-    "gain_cycles": _campaign_gain_cycles,
-    "guvh": _campaign_guvh,
-    "random": _campaign_random,
-    "theta_infty": _campaign_theta_infty,
-    "trees": _campaign_trees,
-    "unicyclic": _campaign_unicyclic,
+    "connected": (_campaign_connected, CAP_CONNECTED, CAP_CONNECTED),
+    "corollaries": (_campaign_corollaries, CAP_TREES_DEDUPED, CAP_TREES_DEDUPED),
+    "cstar": (_campaign_cstar, CAP_CSTAR, CAP_CSTAR),
+    "fixtures": (_campaign_fixtures, 0, None),
+    "gain_cycles": (_campaign_gain_cycles, CAP_GAIN_CYCLE, CAP_GAIN_CYCLE),
+    "guvh": (_campaign_guvh, 0, None),
+    "random": (_campaign_random, CAP_RANDOM_N, CAP_RANDOM_N),
+    "theta_infty": (_campaign_theta_infty, 6, CAP_THETA_INFTY_PARAM),
+    "trees": (_campaign_trees, CAP_TREES_DEDUPED, CAP_TREES_DEDUPED),
+    "unicyclic": (_campaign_unicyclic, CAP_UNICYCLIC_DEDUPED, CAP_UNICYCLIC_DEDUPED),
 }
 
 CAMPAIGNS = tuple(sorted(_CAMPAIGNS))
-
-_DEFAULT_CAPS = {
-    "connected": CAP_CONNECTED,
-    "corollaries": CAP_TREES_DEDUPED,
-    "cstar": CAP_CSTAR,
-    "fixtures": 0,
-    "gain_cycles": CAP_GAIN_CYCLE,
-    "guvh": 0,
-    "random": CAP_RANDOM_N,
-    "theta_infty": 6,
-    "trees": CAP_TREES_DEDUPED,
-    "unicyclic": CAP_UNICYCLIC_DEDUPED,
-}
 
 
 def run_campaign(cfg: CampaignConfig) -> tuple[dict, list[Discrepancy]]:
@@ -1424,7 +1346,13 @@ def run_campaign(cfg: CampaignConfig) -> tuple[dict, list[Discrepancy]]:
         raise ParameterOutOfRange(
             f"unknown campaign {cfg.campaign!r}; choose from {', '.join(CAMPAIGNS)}"
         )
-    cap = cfg.cap if cfg.cap is not None else _DEFAULT_CAPS[cfg.campaign]
+    body, default_cap, ceiling = _CAMPAIGNS[cfg.campaign]
+    cap = default_cap if cfg.cap is None else cfg.cap
+    if ceiling is not None and cap > ceiling:
+        raise CapExceeded(f"campaign {cfg.campaign} capped at {ceiling}, got {cap}")
     rec = _Recorder(cfg, cap)
-    _CAMPAIGNS[cfg.campaign](cfg, rec)
+    try:
+        body(cfg, rec)
+    except _Full:
+        pass
     return rec.summary(complete=True), rec.discrepancies

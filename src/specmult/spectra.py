@@ -304,9 +304,11 @@ def _clear_denominators(
 ) -> tuple[int, list[list[int]], list[list[int]]]:
     """The lcm d of all entry denominators, with the real and imaginary
     parts of d*rows as int tables."""
-    d = math.lcm(*{x.denominator for row in rows for e in row for x in (e.re, e.im)})
-    re = [[e.re.numerator * (d // e.re.denominator) for e in row] for row in rows]
-    im = [[e.im.numerator * (d // e.im.denominator) for e in row] for row in rows]
+    re_parts = [[e.re.as_integer_ratio() for e in row] for row in rows]
+    im_parts = [[e.im.as_integer_ratio() for e in row] for row in rows]
+    d = math.lcm(*{q for parts in (re_parts, im_parts) for row in parts for _, q in row})
+    re = [[p * (d // q) for p, q in row] for row in re_parts]
+    im = [[p * (d // q) for p, q in row] for row in im_parts]
     return d, re, im
 
 

@@ -11,6 +11,7 @@ pendant count); "one deficient" means multiplicity exactly one below it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -784,39 +785,37 @@ def _gain_cycle_check(g: Graph, lam: EigenvalueLike, probe: RelationProbe, inst:
     return CheckReport("gain-cycle", holds, m, 2, inst)
 
 
-def _match_gain_eigenvalue(n, alpha, lam, rho_pi, tol, exact_mode):
-    """Index j whose closed-form doubled eigenvalue equals lambda, if any.
+def _gain_closed_forms(n: int, alpha, rho_pi: bool) -> list[tuple]:
+    """(j, minimal polynomial, exact value, float value) of each doubled
+    eigenvalue of the A_alpha matrix of a gain n-cycle.
 
     Gain 1: lambda = 2a + (1-a) * 2cos(2j*pi/n), j = 1..ceil(n/2)-1.
     Gain -1: lambda = 2a + (1-a) * 2cos((2j+1)*pi/n), j = 0..floor(n/2)-1.
+    The exact value is a Fraction when the minimal polynomial is linear.
     """
-    import math
-
-    if rho_pi:
-        js = range(0, n // 2)
-    else:
-        js = range(1, (n + 1) // 2)
-    if exact_mode:
-        a = Fraction(alpha)
-        for j in js:
-            if rho_pi:
-                mu = min_poly_2cos(2 * n, 2 * j + 1)
-            else:
-                mu = min_poly_2cos(n, j)
-            target = _affine_minpoly(mu, 2 * a, 1 - a)
-            if isinstance(lam, AlgebraicEigenvalue):
-                lam_min = IntPolynomial(poly_primitive_int(lam.minpoly.coeffs))
-                if lam_min.coeffs == target.coeffs:
-                    return j
-            elif isinstance(lam, (int, Fraction)):
-                if target.degree == 1 and target.eval(Fraction(lam)) == 0:
-                    return j
-        return None
-    a_f = float(alpha)
-    lam_f = eigenvalue_float(lam)
-    for j in js:
+    a = Fraction(alpha)
+    out = []
+    for j in range(0, n // 2) if rho_pi else range(1, (n + 1) // 2):
+        mu = min_poly_2cos(2 * n, 2 * j + 1) if rho_pi else min_poly_2cos(n, j)
+        chi = _affine_minpoly(mu, 2 * a, 1 - a)
         ang = (2 * j + 1) * math.pi / n if rho_pi else 2 * j * math.pi / n
-        val = 2 * a_f + 2 * (1 - a_f) * math.cos(ang)
-        if abs(val - lam_f) <= max(tol, 1e-9):
-            return j
+        val = 2.0 * float(a) + 2.0 * (1.0 - float(a)) * math.cos(ang)
+        if chi.degree == 1:
+            out.append((j, chi, Fraction(-chi.coeffs[0], chi.coeffs[1]), val))
+        else:
+            out.append((j, chi, AlgebraicEigenvalue(chi, val), val))
+    return out
+
+
+def _match_gain_eigenvalue(n, alpha, lam, rho_pi, tol, exact_mode):
+    """Index j whose closed-form doubled eigenvalue equals lambda, if any."""
+    forms = _gain_closed_forms(n, alpha, rho_pi)
+    if not exact_mode:
+        lam_f = eigenvalue_float(lam)
+        return next((j for j, _, _, val in forms if abs(val - lam_f) <= max(tol, 1e-9)), None)
+    if isinstance(lam, AlgebraicEigenvalue):
+        lam_min = IntPolynomial(poly_primitive_int(lam.minpoly.coeffs))
+        return next((j for j, chi, _, _ in forms if chi.coeffs == lam_min.coeffs), None)
+    if isinstance(lam, (int, Fraction)):
+        return next((j for j, _, exact, _ in forms if exact == lam), None)
     return None

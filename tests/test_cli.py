@@ -172,6 +172,11 @@ def test_verify_only_key(capsys):
     assert code == 0 and json.loads(out)["instances"] == 1
 
 
+def test_verify_cap_above_ceiling_exits_1(capsys):
+    code, out, err = _run(capsys, ["verify", "--campaign", "cstar", "--cap", "12"])
+    assert code == 1 and out == "" and json.loads(err)["error"] == "CapExceeded"
+
+
 def test_usage_errors_exit_2(capsys, c5_file):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--campaign", "bogus"])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -365,28 +366,50 @@ def test_campaign_only_replays_single_instance():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
-def test_campaign_max_instances_truncates():
+def test_campaign_max_instances_truncates(monkeypatch):
+    real = oracle_mod.enumerate_trees
+    orders = []
+
+    def counted(n, dedupe=False):
+        orders.append(n)
+        return real(n, dedupe)
+
+    monkeypatch.setattr(oracle_mod, "enumerate_trees", counted)
     summary, _ = _run("trees", cap=7, max_instances=5)
-    assert summary["instances"] == 5
+    assert summary["instances"] == 5 and summary["complete"] is True
+    # 1 + 1 + 2 + 3 trees on 2..5 vertices: the campaign ends inside n = 5
+    assert orders == [2, 3, 4, 5]
 
 
 def test_connected_sweep_stops_once_full(monkeypatch):
-    real = oracle_mod._batched_charpoly
-    orders = []
+    real_charpoly, real_masks = oracle_mod._batched_charpoly, oracle_mod._connected_masks
+    orders, mask_orders = [], []
 
     def counted(a_batch):
         orders.append(a_batch.shape[1])
-        return real(a_batch)
+        return real_charpoly(a_batch)
+
+    def counted_masks(n):
+        mask_orders.append(n)
+        return real_masks(n)
 
     monkeypatch.setattr(oracle_mod, "_batched_charpoly", counted)
+    monkeypatch.setattr(oracle_mod, "_connected_masks", counted_masks)
     summary, _ = _run("connected", cap=7, max_instances=50)
     assert summary["instances"] == 50
     # 1 + 4 + 38 graphs on 2..4 vertices, so the first n = 5 chunk fills it
     assert orders == [2, 3, 4, 5]
+    # 43 fills exactly at the end of n = 4: no n = 5 batch, nor its masks
+    orders.clear()
+    mask_orders.clear()
+    summary, _ = _run("connected", cap=7, max_instances=43)
+    assert summary["instances"] == 43 and summary["complete"] is True
+    assert orders == [2, 3, 4]
+    assert set(mask_orders) == {2, 3, 4}
 
 
-def _summary_sha1(summary) -> str:
-    return hashlib.sha1(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+def _json_sha1(obj) -> str:
+    return hashlib.sha1(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 def test_connected_sweep_profiles_and_factors_each_charpoly_once(monkeypatch):
@@ -400,7 +423,7 @@ def test_connected_sweep_profiles_and_factors_each_charpoly_once(monkeypatch):
 
         monkeypatch.setattr(oracle_mod, name, counted)
     summary, _ = _run("connected", cap=5)
-    assert _summary_sha1(summary) == "5f36a44cf15de048bc12bc72d4eabe6e62c09fbb"
+    assert _json_sha1(summary) == "5f36a44cf15de048bc12bc72d4eabe6e62c09fbb"
     charpolys = {
         scaled_char_poly(adjacency_matrix(g))[0].coeffs
         for n in range(2, 6)
@@ -415,7 +438,7 @@ def test_connected_sweep_cap6_summary_digest():
     summary, discrepancies = _run("connected", cap=6)
     assert summary["instances"] == 27475 and summary["checks"] == 71301
     assert discrepancies == []
-    assert _summary_sha1(summary) == "3eab773926f632506a66d31c9f09c2b30208c96d"
+    assert _json_sha1(summary) == "3eab773926f632506a66d31c9f09c2b30208c96d"
 
 
 def test_campaign_time_budget():
@@ -428,18 +451,80 @@ def test_campaign_time_budget():
 
 
 def test_small_campaigns_have_zero_discrepancies():
-    for campaign, kw in [
-        ("trees", {"cap": 6}),
-        ("unicyclic", {"cap": 6}),
-        ("cstar", {"cap": 7}),
-        ("theta_infty", {"cap": 4}),
-        ("gain_cycles", {"cap": 5}),
-        ("connected", {"cap": 5}),
-        ("random", {"cap": 6, "seeds": 2, "max_instances": 30}),
+    """Each summary is pinned by its sha1, so a change to the campaign
+    plumbing cannot alter what a campaign reports."""
+    for campaign, kw, digest in [
+        ("fixtures", {}, "8ac5b018ea0b7f0282e0151c0654062748401949"),
+        ("corollaries", {"cap": 7}, "51e8e5a75720d9e75fe7f9a3b3e763ce205f328f"),
+        ("guvh", {"max_instances": 40}, "3c87598aea8230aece02cf7633a0cbe7b8c5959b"),
+        ("trees", {"cap": 6}, "55a6be9594d7c7bbddb6516abb11ce0bf0e9a938"),
+        ("unicyclic", {"cap": 6}, "87eb86779a6e8c70a1a9b25c5aab5e2d4556dddd"),
+        ("cstar", {"cap": 7}, "4bcb1d9029a278eea0bc7eb9b687f4b598d82bc8"),
+        ("theta_infty", {"cap": 4}, "618cd074f82ebde3cfa8eed27c9ac761f4c36b3e"),
+        ("gain_cycles", {"cap": 5}, "24a37970390ff4055c9f8012ace136e28edfb317"),
+        ("connected", {"cap": 5}, "5f36a44cf15de048bc12bc72d4eabe6e62c09fbb"),
+        (
+            "random",
+            {"cap": 6, "seeds": 2, "max_instances": 30},
+            "f3f973a68a0a774c280529df654d4f5cb7c43173",
+        ),
+        ("trees", {"cap": 7, "max_instances": 5}, "01dc6e5ee31ab13ded4f77d7b4041f178ce86237"),
     ]:
         summary, discrepancies = _run(campaign, **kw)
         assert discrepancies == [], f"{campaign}: {discrepancies[0].as_json()}"
         assert summary["checks"] > 0
+        assert _json_sha1(summary) == digest, (campaign, kw)
+
+
+def test_campaign_caps_are_used_as_given():
+    for campaign, cap in [("cstar", 12), ("gain_cycles", 11)]:
+        with pytest.raises(CapExceeded):
+            _run(campaign, cap=cap)
+    for campaign, cap in [("theta_infty", 0), ("random", 1)]:
+        summary, _ = _run(campaign, cap=cap)
+        assert summary["cap"] == cap and summary["instances"] == 0, campaign
+    summary, _ = _run("cstar")
+    assert summary["cap"] == CAP_CSTAR and summary["instances"] == 28
+    # fixtures and guvh take no cap: any value is reported and ignored
+    summary, _ = _run("guvh", cap=99, max_instances=3)
+    assert summary["cap"] == 99 and summary["instances"] == 3
+
+
+def test_inconsistent_classifier_records_are_unchanged(monkeypatch):
+    """A classifier that reports a violation and flips every verdict yields
+    exactly these discrepancy records (pinned by sha1), messages and --only
+    repro lines included, on a tree, unicyclic, theta and connected graph."""
+    real = oracle_mod._classify
+
+    def broken(*args):
+        out = real(*args)
+        evidence = dict(out.evidence, consistent=False, violations=["injected"])
+        verdict = "Generic" if out.verdict.startswith("OneDeficient") else "OneDeficientFormB"
+        return dataclasses.replace(out, verdict=verdict, evidence=evidence)
+
+    monkeypatch.setattr(oracle_mod, "_classify", broken)
+    for campaign, kw, count, digest in [
+        ("trees", {"cap": 6, "only": "tree:n6:i3"}, 10, "3236cad79a41ce0f2267610736d5fa1ef044cdaf"),
+        (
+            "unicyclic",
+            {"cap": 6, "only": "unicyclic:n5:i2"},
+            10,
+            "8b726c8e4781f6bac87e83b7bfb83b1dbbcbad05",
+        ),
+        (
+            "theta_infty",
+            {"cap": 4, "only": "theta:3-2-2"},
+            12,
+            "5908b182a71ccf8695e4681784e25e29af63c738",
+        ),
+        ("connected", {"cap": 5, "only": "conn:n4:m7"}, 6, "b6b1c22a7d8a3176441eead5ba25ae84c96df7ef"),
+    ]:
+        _, discrepancies = _run(campaign, **kw)
+        records = [d.as_json() for d in discrepancies]
+        assert len(records) == count, campaign
+        assert {r["predicate"] for r in records} == {"classifier-consistency", "one-deficient-iff"}
+        assert all(r["repro"].endswith(f"--only {kw['only']}") for r in records)
+        assert _json_sha1(records) == digest, campaign
 
 
 def test_guvh_builder_meets_side_conditions():

@@ -7,9 +7,10 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "specmult"
 
 
 def _referenced_names(node: ast.AST) -> set[str]:
+    """Names read anywhere under node; an assignment target is not a read."""
     names = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
@@ -18,19 +19,31 @@ def _referenced_names(node: ast.AST) -> set[str]:
     return names
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """Names a module-level statement binds: a def, a class or an
+    assignment to a plain name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def test_every_private_module_function_is_used():
-    """A module-level _helper that nothing references outside its own body
-    is dead code."""
+    """A module-level _helper, _Class or _TABLE that nothing references
+    outside its own definition is dead code."""
     defined = []
     referenced: set[str] = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
             names = _referenced_names(node)
-            if isinstance(node, ast.FunctionDef):
-                names.discard(node.name)  # self-recursion is not a use
-                if node.name.startswith("_") and not node.name.startswith("__"):
-                    defined.append((path.name, node.name))
+            for name in _defined_names(node):
+                names.discard(name)  # self-recursion is not a use
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.append((path.name, name))
             referenced |= names
     assert [d for d in defined if d[1] not in referenced] == []
 
