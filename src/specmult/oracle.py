@@ -14,7 +14,9 @@ integer-only squarefree decomposition, and the full per-eigenvalue
 classifier only runs on graphs whose structural form could possibly be
 one-deficient (plus every graph where some multiplicity actually hits the
 target). For the decomposition form that gate is the classifier's own
-lambda-independent half, theorems._form_d_structure.
+lambda-independent half, theorems._structure(g).form_d, which the
+classifier then reuses; it is asked only when 3*theta + 1 <= n, since
+fewer vertices cannot hold theta disjoint cycle pieces and a major.
 
 Profiles and irreducible factors (with their exact root descriptors) are
 pure functions of the exact integer coefficient tuple, and the n <= 7 sweep
@@ -41,6 +43,7 @@ import itertools
 import math
 import os
 import random
+import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +65,7 @@ from .graphs import (
     Graph,
     cycle_graph,
     infinity_graph,
+    is_connected,
     pendant_vertices,
     serialize_graph,
     tadpole_graph,
@@ -89,7 +93,6 @@ from .spectra import (
     scaled_char_poly,
 )
 from .structure import (
-    classify_family,
     is_cycle_graph,
     major_sets,
     pendant_paths,
@@ -99,8 +102,8 @@ from .theorems import (
     _bound_report,
     _classify,
     _form_d_conditions,
-    _form_d_structure,
     _gain_closed_forms,
+    _structure,
     _tree_conditions,
     check_upper_bound,
     corollary_minus_one_tree,
@@ -670,9 +673,15 @@ class _Recorder:
         self.checks = 0
         budget = cfg.time_budget_secs
         if budget is None:
-            env = os.environ.get("SPECMULT_TIME_BUDGET_SECS")
-            budget = float(env) if env else None
-        self._deadline = (time.monotonic() + budget) if budget else None
+            budget = os.environ.get("SPECMULT_TIME_BUDGET_SECS") or None
+        if budget is not None:
+            try:
+                budget = float(budget)
+            except (TypeError, ValueError):
+                raise ParameterOutOfRange(f"time budget {budget!r} is not a number") from None
+            if not budget >= 0:
+                raise ParameterOutOfRange(f"time budget {budget} must be >= 0 seconds")
+        self._deadline = None if budget is None else time.monotonic() + budget
         self._base_cmd = (
             f"specmult verify --campaign {cfg.campaign} --cap {cap} --seeds {cfg.seeds}"
         )
@@ -689,7 +698,7 @@ class _Recorder:
         _Full once max_instances are admitted."""
         if self.full:
             raise _Full
-        if self._deadline is not None and time.monotonic() > self._deadline:
+        if self._deadline is not None and time.monotonic() >= self._deadline:
             raise TimeBudgetExceeded(
                 "campaign ran out of wall-clock budget",
                 summary=self.summary(complete=False),
@@ -750,8 +759,10 @@ def _graph_instance(g: Graph, lam=None, **extra) -> dict:
 def _form_d_gate(g: Graph) -> bool:
     """Can the decomposition form hold at some lambda? Its structural
     clauses, behind the cheap nonempty-M test that rejects almost every
-    graph before blocks and pieces are computed."""
-    return bool(major_sets(g).M) and all(_form_d_structure(g)[0].values())
+    graph before blocks and pieces are computed; the classifier then reuses
+    what the gate worked out."""
+    st = _structure(g)
+    return bool(st.majors.M) and all(ok for _, ok in st.form_d[0])
 
 
 def _check_classifier(
@@ -1227,6 +1238,25 @@ def _campaign_guvh(cfg: CampaignConfig, rec: _Recorder) -> None:
         rec.check("guvh-identity", rel.holds, key, dict(inst, join=list(probe.join)), rel.rhs, rel.lhs)
 
 
+def _parse_conn_key(key: str, cap: int) -> tuple[int, int]:
+    """(n, mask) of a connected-sweep key conn:n<N>:m<MASK>, which must name
+    a connected graph on 2..cap vertices in the sweep's own spelling."""
+    match = re.fullmatch(r"conn:n(\d+):m(\d+)", key)
+    if match is None:
+        raise ParameterOutOfRange(f"--only {key!r} is not of the form conn:n<N>:m<MASK>")
+    n, mask = int(match[1]), int(match[2])
+    if key != f"conn:n{n}:m{mask}":
+        raise ParameterOutOfRange(f"--only {key!r} is not spelled as conn:n{n}:m{mask}")
+    if not 2 <= n <= cap:
+        raise ParameterOutOfRange(f"--only {key!r}: order {n} outside the sweep's 2..{cap}")
+    slots = _edge_slots(n)
+    if mask >= 1 << len(slots):
+        raise ParameterOutOfRange(f"--only {key!r}: mask has bits beyond the {len(slots)} edge slots")
+    if not is_connected(Graph(n, _mask_edges(mask, slots))):
+        raise ParameterOutOfRange(f"--only {key!r}: mask {mask} is a disconnected graph")
+    return n, mask
+
+
 def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
     """Exhaustive sweep over all labeled connected graphs.
 
@@ -1237,8 +1267,7 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
     """
     only_mask = None
     if cfg.only is not None and cfg.only.startswith("conn:"):
-        parts = cfg.only.split(":")
-        only_mask = (int(parts[1][1:]), int(parts[2][1:]))
+        only_mask = _parse_conn_key(cfg.only, rec.cap)
     chunk = 8192
     for n in range(2, rec.cap + 1):
         if only_mask is not None and only_mask[0] != n:
@@ -1298,15 +1327,14 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
                 hit = (bound - 1) in profile
                 need_all = theta == 0 or (theta == 1 and p <= 1)
                 g_obj = None
-                if not need_all and theta >= 1:
+                if not need_all and theta == 2 and p == 0:
                     g_obj = Graph(n, _mask_edges(mask, slots))
-                    if theta == 2 and p == 0 and classify_family(g_obj).kind in (
-                        "ThetaGraph",
-                        "InfinityGraph",
-                    ):
-                        need_all = True
-                    else:
-                        need_all = _form_d_gate(g_obj)
+                    need_all = _structure(g_obj).family.kind in ("ThetaGraph", "InfinityGraph")
+                # form D needs theta disjoint cycle pieces of >= 3 vertices
+                # each plus an off-cycle major, so 3*theta + 1 <= n
+                if not need_all and 3 * theta + 1 <= n:
+                    g_obj = g_obj or Graph(n, _mask_edges(mask, slots))
+                    need_all = _form_d_gate(g_obj)
                 if not (need_all or hit):
                     continue
                 if g_obj is None:

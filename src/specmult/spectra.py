@@ -29,7 +29,7 @@ from .errors import (
     NotAPath,
     ParameterOutOfRange,
 )
-from .hermitian import ExactComplex, HermitianMatrix
+from .hermitian import ExactComplex, HermitianMatrix, principal_submatrix
 from .structure import is_path_graph, path_order
 
 # ---------------------------------------------------------------------------
@@ -312,15 +312,28 @@ def _clear_denominators(
     return d, re, im
 
 
-def _faddeev_leverrier(cre: Sequence[Sequence[int]], cim: Sequence[Sequence[int]]) -> IntPolynomial:
-    """Integer charpoly of the Gaussian integer matrix cre + i*cim."""
+def _faddeev_leverrier(
+    cre: Sequence[Sequence[int]], cim: Sequence[Sequence[int]]
+) -> tuple[IntPolynomial, tuple[tuple[int, ...], ...]]:
+    """Integer charpoly of the Gaussian integer matrix C = cre + i*cim, with
+    the coefficients (lowest degree first) of det(xI - C_v) for every v,
+    where C_v deletes row and column v.
+
+    The iterates M_0 = I, M_k = C M_(k-1) + c_(n-k) I are the coefficients
+    of adj(xI - C) = sum_k M_k x^(n-1-k), and the (v, v) entry of the
+    adjugate is det(xI - C_v) (C. D. Godsil, Algebraic Combinatorics, 1993),
+    so the deleted polynomials cost no product beyond the charpoly's own.
+    """
     n = len(cre)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
+    deleted = [[0] * n for _ in range(n)]
     mre = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     mim = [[0] * n for _ in range(n)]
     rng = range(n)
     for k in range(1, n + 1):
+        for v in rng:
+            deleted[v][n - k] = mre[v][v]
         nre = [[0] * n for _ in rng]
         nim = [[0] * n for _ in rng]
         for i in rng:
@@ -346,7 +359,7 @@ def _faddeev_leverrier(cre: Sequence[Sequence[int]], cim: Sequence[Sequence[int]
         for i in rng:
             nre[i][i] += c
         mre, mim = nre, nim
-    return IntPolynomial(coeffs)
+    return IntPolynomial(coeffs), tuple(tuple(p) for p in deleted)
 
 
 def scaled_char_poly(b: HermitianMatrix) -> tuple[IntPolynomial, int]:
@@ -358,15 +371,22 @@ def scaled_char_poly(b: HermitianMatrix) -> tuple[IntPolynomial, int]:
     if not b.is_exact:
         raise ParameterOutOfRange("exact characteristic polynomial needs exact entries")
     d, cre, cim = _clear_denominators(b.entries)
-    return _faddeev_leverrier(cre, cim), d
+    return _faddeev_leverrier(cre, cim)[0], d
 
 
 @lru_cache(maxsize=4096)
-def _char_poly_of_tables(cre: tuple, cim: tuple) -> IntPolynomial:
+def _char_poly_of_tables(cre: tuple, cim: tuple) -> tuple[IntPolynomial, tuple]:
     # exhaustive sweeps hit the same small principal submatrices constantly;
-    # keyed on the cleared int tables (the charpoly of d*B depends on
-    # nothing else), which hash without touching a Fraction or the pattern
+    # keyed on the cleared int tables (the charpolys of d*B and of its
+    # vertex deletions depend on nothing else), which hash without touching
+    # a Fraction or the pattern
     return _faddeev_leverrier(cre, cim)
+
+
+def _scaled_tables(b: HermitianMatrix) -> tuple[int, IntPolynomial, tuple]:
+    """d with the memoised charpoly and vertex-deleted charpolys of d*B."""
+    d, cre, cim = _clear_denominators(b.entries)
+    return (d,) + _char_poly_of_tables(tuple(map(tuple, cre)), tuple(map(tuple, cim)))
 
 
 def char_poly_exact(b: HermitianMatrix) -> AnyPolynomial:
@@ -513,14 +533,62 @@ def multiplicity_exact_algebraic(b: HermitianMatrix, lam: AlgebraicEigenvalue) -
     """Multiplicity of an algebraic eigenvalue by charpoly / minpoly division."""
     if not b.is_exact:
         raise ParameterOutOfRange("exact multiplicity needs exact entries")
-    d, cre, cim = _clear_denominators(b.entries)
-    scaled = _char_poly_of_tables(tuple(map(tuple, cre)), tuple(map(tuple, cim)))
-    nu = scale_minpoly(lam.minpoly, d)
-    if not nu.is_monic:
-        # the minimal polynomial of d*lambda, normalized primitive
-        nu = IntPolynomial(poly_primitive_int(nu.coeffs))
-    m = multiplicity_via_minpoly(scaled, nu)
+    d, scaled, _ = _scaled_tables(b)
+    m = multiplicity_via_minpoly(scaled, _scaled_minpoly(lam, d))
     return MultiplicityResult(lam, m, "CharPolyDivision", 0.0)
+
+
+def _scaled_minpoly(lam: AlgebraicEigenvalue, d: int) -> IntPolynomial:
+    """The primitive minimal polynomial of d*lambda."""
+    nu = scale_minpoly(lam.minpoly, d)
+    return nu if nu.is_monic else IntPolynomial(poly_primitive_int(nu.coeffs))
+
+
+def _root_multiplicity(coeffs: Sequence[int], r: int) -> int:
+    """How often x - r divides the integer polynomial (synthetic division)."""
+    count = 0
+    while len(coeffs) > 1:
+        carry = 0
+        quot = []
+        for c in reversed(coeffs):
+            carry = carry * r + c
+            quot.append(carry)
+        if quot.pop():
+            break
+        coeffs = quot[::-1]
+        count += 1
+    return count
+
+
+def deletion_multiplicities(
+    b: HermitianMatrix, lam: EigenvalueLike, vertices: Sequence[int], tol: float = 1e-8
+) -> list[int]:
+    """Multiplicity of lambda in the principal submatrix B - v, for each v
+    in vertices.
+
+    With exact entries and a rational or algebraic lambda, all of them come
+    off the one memoised Faddeev-LeVerrier run on d*B: an algebraic lambda
+    divides each deleted charpoly by the primitive minimal polynomial of
+    d*lambda, a rational one by x - d*lambda, which can only be a root of
+    these monic integer polynomials when d*lambda is an integer. That run
+    costs more than one exact rank, so a single deletion is cheaper through
+    multiplicity() on its submatrix. Other inputs take the numeric cluster
+    count of each submatrix.
+    """
+    if b.is_exact and isinstance(lam, AlgebraicEigenvalue):
+        d, _, deleted = _scaled_tables(b)
+        nu = _scaled_minpoly(lam, d)
+        return [multiplicity_via_minpoly(IntPolynomial(deleted[v]), nu) for v in vertices]
+    if b.is_exact and isinstance(lam, (int, Fraction)) and not isinstance(lam, bool):
+        d, _, deleted = _scaled_tables(b)
+        r = Fraction(lam) * d
+        if r.denominator != 1:
+            return [0] * len(vertices)
+        return [_root_multiplicity(deleted[v], int(r)) for v in vertices]
+    return [
+        multiplicity(principal_submatrix(b, [u for u in range(b.n) if u != v])[0], lam, tol).multiplicity
+        for v in vertices
+    ]
 
 
 def eigenvalues_numeric(b: HermitianMatrix) -> SpectrumNumeric:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -52,6 +53,7 @@ from .spectra import (
     AlgebraicEigenvalue,
     EigenvalueLike,
     IntPolynomial,
+    deletion_multiplicities,
     describe_eigenvalue,
     eigenvalue_float,
     min_poly_2cos,
@@ -60,6 +62,8 @@ from .spectra import (
     poly_primitive_int,
 )
 from .structure import (
+    FamilyTag,
+    MajorSets,
     blocks,
     classify_family,
     cycle_vertices,
@@ -191,30 +195,23 @@ def _tree_conditions(
     t: Graph, b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8
 ) -> PredicateResult:
     """tree_equality_predicate on checked input."""
-    if is_path_graph(t):
+    st = _structure(t)
+    if st.family.kind == "Path":
         return PredicateResult(True, {"path": True})
-    x_set = major_sets(t).X
-    nonadjacent = all(not t.has_edge(u, v) for u, v in combinations(x_set, 2))
-    keep = [v for v in range(t.n) if v not in set(x_set)]
-    rest, restmap = principal_submatrix(b, keep)
+    nonadjacent, piece_ids = st.tree
     pieces = []
     all_member = True
-    for comp in components(rest.pattern):
-        piece, _ = principal_submatrix(rest, comp)
+    for ids in piece_ids:
+        piece, _ = principal_submatrix(b, ids)
         member = path_spectrum_membership(piece, lam, tol)
-        pieces.append(
-            {
-                "vertices": [restmap.to_parent[v] for v in comp],
-                "carries_lambda": member,
-            }
-        )
+        pieces.append({"vertices": list(ids), "carries_lambda": member})
         all_member = all_member and member
     holds = nonadjacent and all_member
     return PredicateResult(
         holds,
         {
             "path": False,
-            "majors": list(x_set),
+            "majors": list(st.majors.X),
             "majors_nonadjacent": nonadjacent,
             "pieces": pieces,
         },
@@ -279,51 +276,102 @@ def _class_u_member(g: Graph) -> bool:
     )
 
 
-def _form_d_structure(g: Graph) -> tuple[dict, list, list]:
-    """The lambda-independent half of the decomposition form.
+def _pieces(g: Graph, drop: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Parent ids of each component left after deleting the drop set."""
+    drop_set = set(drop)
+    rest = induced_subgraph(g, [v for v in range(g.n) if v not in drop_set])
+    return tuple(tuple(rest.to_parent[v] for v in comp) for comp in components(rest.child))
 
-    Returns (checks, cycle reports, pieces): the six structural clauses,
-    one report per cycle block, and the components left after deleting the
-    off-cycle majors, each as (parent ids, "path" | "single-cycle" |
-    "other"). A graph failing any clause fails the form for every lambda.
-    """
-    theta = cyclomatic_number(g)
-    ms = major_sets(g)
-    checks: dict = {
-        "theta_positive": theta >= 1,
-        "offcycle_majors_nonempty": len(ms.M) > 0,
-    }
-    cycle_reports = []
-    single_major_ok = True
-    for blk in blocks(g):
-        if not blk.is_cycle_block:
-            continue
-        majors_on = [v for v in blk.vertices if g.degree(v) >= 3]
-        ok = len(majors_on) == 1 and g.degree(majors_on[0]) == 3
-        cycle_reports.append(
-            {"cycle": list(blk.vertices), "majors": majors_on, "ok": ok}
+
+class _Structure:
+    """The lambda-independent half of _classify for one labeled connected
+    graph. Each part is worked out on first use and kept as (nested)
+    tuples, so that every lambda of the graph, and the connected sweep's
+    form-D gate, share it without being able to alter it."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+
+    @cached_property
+    def family(self) -> FamilyTag:
+        return classify_family(self.g)
+
+    @cached_property
+    def theta(self) -> int:
+        return cyclomatic_number(self.g)
+
+    @cached_property
+    def p(self) -> int:
+        return len(pendant_vertices(self.g))
+
+    @cached_property
+    def majors(self) -> MajorSets:
+        return major_sets(self.g)
+
+    @cached_property
+    def tree(self) -> tuple[bool, tuple[tuple[int, ...], ...]]:
+        """Form A: are the majors pairwise nonadjacent, and the parent ids
+        of each component of T - X."""
+        x_set = self.majors.X
+        nonadjacent = all(not self.g.has_edge(u, v) for u, v in combinations(x_set, 2))
+        return nonadjacent, _pieces(self.g, x_set)
+
+    @cached_property
+    def form_c(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Form C: the degree-2 cycle vertices next to a major, and the
+        majors, each ascending."""
+        g = self.g
+        x_set = set(self.majors.X)
+        ys = tuple(
+            v for v in cycle_vertices(g) if g.degree(v) == 2 and any(w in x_set for w in g.adj[v])
         )
-        single_major_ok = single_major_ok and ok
-    checks["one_degree3_major_per_cycle"] = single_major_ok
-    checks["offcycle_majors_nonadjacent"] = all(
-        not g.has_edge(u, v) for u, v in combinations(ms.M, 2)
-    )
-    m_set = set(ms.M)
-    rest = induced_subgraph(g, [v for v in range(g.n) if v not in m_set])
-    pieces = []
-    for comp in components(rest.child):
-        piece = induced_subgraph(rest.child, comp).child
-        if is_path_graph(piece):
-            kind = "path"
-        elif _class_u_member(piece):
-            kind = "single-cycle"
-        else:
-            kind = "other"
-        pieces.append(([rest.to_parent[v] for v in comp], kind))
-    kinds = [kind for _, kind in pieces]
-    checks["decomposes_into_cycles_and_paths"] = "other" not in kinds
-    checks["cycle_piece_count_matches_theta"] = kinds.count("single-cycle") == theta
-    return checks, cycle_reports, pieces
+        return ys, self.majors.X
+
+    @cached_property
+    def form_d(self) -> tuple[tuple, tuple, tuple]:
+        """Form D: (checks, cycle reports, pieces). The checks are the six
+        structural clauses as (name, holds) pairs; each cycle block reports
+        (vertices, majors on it, ok); each component left after deleting the
+        off-cycle majors is (parent ids, "path" | "single-cycle" | "other").
+        A graph failing any clause fails the form for every lambda."""
+        g = self.g
+        theta = self.theta
+        m_set = self.majors.M
+        cycle_reports = []
+        for blk in blocks(g):
+            if not blk.is_cycle_block:
+                continue
+            majors_on = tuple(v for v in blk.vertices if g.degree(v) >= 3)
+            ok = len(majors_on) == 1 and g.degree(majors_on[0]) == 3
+            cycle_reports.append((blk.vertices, majors_on, ok))
+        pieces = []
+        for ids in _pieces(g, m_set):
+            piece = induced_subgraph(g, ids).child
+            if is_path_graph(piece):
+                kind = "path"
+            elif _class_u_member(piece):
+                kind = "single-cycle"
+            else:
+                kind = "other"
+            pieces.append((ids, kind))
+        kinds = [kind for _, kind in pieces]
+        checks = (
+            ("theta_positive", theta >= 1),
+            ("offcycle_majors_nonempty", len(m_set) > 0),
+            ("one_degree3_major_per_cycle", all(ok for _, _, ok in cycle_reports)),
+            (
+                "offcycle_majors_nonadjacent",
+                all(not g.has_edge(u, v) for u, v in combinations(m_set, 2)),
+            ),
+            ("decomposes_into_cycles_and_paths", "other" not in kinds),
+            ("cycle_piece_count_matches_theta", kinds.count("single-cycle") == theta),
+        )
+        return checks, tuple(cycle_reports), tuple(pieces)
+
+
+# a graph's lambdas are classified one after another, so a few entries keep
+# every hit; never shared across relabelings, since the key is the labeled graph
+_structure = lru_cache(maxsize=16)(_Structure)
 
 
 def _form_d_conditions(
@@ -331,25 +379,29 @@ def _form_d_conditions(
 ) -> PredicateResult:
     """Decomposition form: deleting the off-cycle majors leaves exactly
     theta single-cycle pieces of multiplicity 2 plus paths carrying lambda."""
-    checks, cycle_reports, shapes = _form_d_structure(g)
+    structural, cycles, shapes = _structure(g).form_d
+    checks = dict(structural)
     pieces = []
     u_mult_ok = True
     paths_ok = True
-    for parent_ids, kind in shapes:
+    for ids, kind in shapes:
         if kind == "path":
-            piece, _ = principal_submatrix(b, parent_ids)
+            piece, _ = principal_submatrix(b, ids)
             member = path_spectrum_membership(piece, lam, tol)
-            pieces.append({"vertices": parent_ids, "kind": kind, "carries_lambda": member})
+            pieces.append({"vertices": list(ids), "kind": kind, "carries_lambda": member})
             paths_ok = paths_ok and member
         elif kind == "single-cycle":
-            mu = _sub_mult(b, parent_ids, lam, tol)
-            pieces.append({"vertices": parent_ids, "kind": kind, "multiplicity": mu})
+            mu = _sub_mult(b, ids, lam, tol)
+            pieces.append({"vertices": list(ids), "kind": kind, "multiplicity": mu})
             u_mult_ok = u_mult_ok and mu == 2
         else:
-            pieces.append({"vertices": parent_ids, "kind": kind})
+            pieces.append({"vertices": list(ids), "kind": kind})
     checks["cycle_pieces_multiplicity_2"] = u_mult_ok
     checks["paths_carry_lambda"] = paths_ok
     holds = all(checks.values())
+    cycle_reports = [
+        {"cycle": list(vs), "majors": list(majors_on), "ok": ok} for vs, majors_on, ok in cycles
+    ]
     return PredicateResult(holds, {"checks": checks, "pieces": pieces, "cycles": cycle_reports})
 
 
@@ -367,7 +419,7 @@ def unicyclic_equality_predicate(
 
 
 def _form_c_conditions(
-    g: Graph, b: HermitianMatrix, lam: EigenvalueLike, is_theta: bool, m: int, tol: float = 1e-8
+    g: Graph, b: HermitianMatrix, lam: EigenvalueLike, m: int, tol: float = 1e-8
 ) -> PredicateResult:
     """Two-cycle forms: deleting any degree-2 cycle vertex next to a major
     must drop the multiplicity to 2; theta shapes additionally for every
@@ -375,31 +427,22 @@ def _form_c_conditions(
     connecting path splits the graph in two, and the drop-to-2 argument
     needs the remainder connected.
     """
-    x_set = set(major_sets(g).X)
-    cyc = set(cycle_vertices(g))
+    st = _structure(g)
+    is_theta = st.family.kind == "ThetaGraph"
+    ys, xs = st.form_c
+    subs = deletion_multiplicities(b, lam, ys + xs if is_theta else ys, tol)
+    y_subs, x_subs = subs[: len(ys)], subs[len(ys) :]
     checks = {"multiplicity_3": m == 3}
-    deletions = []
-    ys = [
-        v
-        for v in cyc
-        if g.degree(v) == 2 and any(w in x_set for w in g.adj[v])
+    deletions = [
+        {"vertex": y, "kind": "degree-2-neighbor", "multiplicity": sub}
+        for y, sub in zip(ys, y_subs)
     ]
-    ys.sort()
-    y_ok = True
-    for y in ys:
-        keep = [v for v in range(g.n) if v != y]
-        sub = _sub_mult(b, keep, lam, tol)
-        deletions.append({"vertex": y, "kind": "degree-2-neighbor", "multiplicity": sub})
-        y_ok = y_ok and sub == 2
-    checks["degree2_deletions_give_2"] = y_ok
+    checks["degree2_deletions_give_2"] = all(sub == 2 for sub in y_subs)
     if is_theta:
-        x_ok = True
-        for x in sorted(x_set):
-            keep = [v for v in range(g.n) if v != x]
-            sub = _sub_mult(b, keep, lam, tol)
-            deletions.append({"vertex": x, "kind": "major", "multiplicity": sub})
-            x_ok = x_ok and sub == 2
-        checks["major_deletions_give_2"] = x_ok
+        deletions += [
+            {"vertex": x, "kind": "major", "multiplicity": sub} for x, sub in zip(xs, x_subs)
+        ]
+        checks["major_deletions_give_2"] = all(sub == 2 for sub in x_subs)
     holds = all(checks.values())
     return PredicateResult(holds, {"checks": checks, "deletions": deletions})
 
@@ -517,9 +560,8 @@ def _classify(
 ) -> ClassificationOutcome:
     """conclusion_classifier on checked input whose multiplicity m of lambda
     is already known (method names how it was obtained)."""
-    fam = classify_family(g)
-    theta = cyclomatic_number(g)
-    p = len(pendant_vertices(g))
+    st = _structure(g)
+    fam, theta, p = st.family, st.theta, st.p
     bound = 2 * theta + p
     if fam.kind in ("Path", "TreeGeneral"):
         form = "OneDeficientFormA"
@@ -532,7 +574,7 @@ def _classify(
         cond = PredicateResult(m == 2, {"target_multiplicity": 2, "multiplicity": m})
     elif fam.kind in ("ThetaGraph", "InfinityGraph"):
         form = "OneDeficientFormC"
-        cond = _form_c_conditions(g, b, lam, fam.kind == "ThetaGraph", m, tol)
+        cond = _form_c_conditions(g, b, lam, m, tol)
     else:
         form = "OneDeficientFormD"
         cond = _form_d_conditions(g, b, lam, tol)
@@ -545,7 +587,7 @@ def _classify(
         # lands here regardless of the structural conditions
         verdict = "TwoPlusDeficient"
     violations = []
-    if verdict == "AttainsBound" and not (is_cycle_graph(g) and m == 2):
+    if verdict == "AttainsBound" and not (fam.kind == "Cycle" and m == 2):
         violations.append("bound attained on a non-cycle instance")
     if 1 <= m < bound and cond.holds != (m == bound - 1):
         violations.append(
@@ -725,7 +767,7 @@ def lemma_relation_checks(
         m = _mult(b, lam, tol)
         if m != structural_bound(g) - 1:
             raise SideConditionUnmet("graph must be exactly one below the bound")
-        cond = _form_c_conditions(g, b, lam, fam.kind == "ThetaGraph", m, tol)
+        cond = _form_c_conditions(g, b, lam, m, tol)
         inst["deletions"] = cond.evidence["deletions"]
         return CheckReport(rel, cond.holds, m, 3, inst)
     if rel == "gain-cycle":

@@ -1,11 +1,11 @@
 """Shared pytest plumbing: collects one line per acceptance criterion and
 prints the lot in the terminal summary, so a plain `pytest -v` run shows
 every PASS/FAIL verdict even with output capture on; and starts every test
-with cold spectral memos."""
+with cold spectral and structure memos."""
 
 import pytest
 
-from specmult import oracle, spectra
+from specmult import oracle, spectra, theorems
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -17,11 +17,12 @@ def record_criterion(line: str) -> None:
 @pytest.fixture(autouse=True)
 def cold_spectral_memos():
     """A memo warmed by an earlier test would bypass the helpers a test
-    monkeypatches (_real_roots, irreducible_factors) and make its result
-    depend on test order."""
+    monkeypatches (_real_roots, irreducible_factors, the structure
+    functions) and make its result depend on test order."""
     oracle._cached_profile.cache_clear()
     oracle._spectral_factors.cache_clear()
     spectra._char_poly_of_tables.cache_clear()
+    theorems._structure.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

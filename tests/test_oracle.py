@@ -233,6 +233,55 @@ def test_form_d_gate_on_larger_samples():
     assert hits > 0  # the sweep must exercise the accepting branch
 
 
+def _dropped_rows(n: int, masks):
+    """The rows with 3*theta + 1 > n that the sweep would otherwise gate:
+    trees and graphs with one cycle and p <= 1 are classified anyway."""
+    slots = oracle_mod._edge_slots(n)
+    degs = np.zeros((masks.size, n), dtype=np.int64)
+    for idx, (u, v) in enumerate(slots):
+        bit = (masks >> idx) & 1
+        degs[:, u] += bit
+        degs[:, v] += bit
+    theta = degs.sum(axis=1) // 2 - n + 1
+    p = (degs == 1).sum(axis=1)
+    gated = ~((theta == 0) | ((theta == 1) & (p <= 1)))
+    return masks[gated & (3 * theta + 1 > n)], slots
+
+
+def test_sweep_skip_rule_drops_no_row_the_gate_passes():
+    dropped = 0
+    for n in range(2, 7):
+        masks, slots = _dropped_rows(n, oracle_mod._connected_masks(n))
+        for mask in masks.tolist():
+            assert _form_d_gate(Graph(n, oracle_mod._mask_edges(mask, slots))) is False
+        dropped += masks.size
+    # 21,055 of them are not theta = 2, p = 0 rows, which see the family test first
+    assert dropped == 22136
+    masks, slots = _dropped_rows(7, oracle_mod._connected_masks(7))
+    rng = random.Random(7)
+    sample = [m for m in masks.tolist() if rng.randrange(50) == 0]
+    assert len(sample) > 30000
+    for mask in sample:
+        assert _form_d_gate(Graph(7, oracle_mod._mask_edges(mask, slots))) is False
+
+
+def test_connected_sweep_gates_only_where_form_d_can_hold(monkeypatch):
+    calls = {"_form_d_gate": 0, "_classify": 0}
+    for name in calls:
+        real = getattr(oracle_mod, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(oracle_mod, name, counted)
+    summary, _ = _run("connected", cap=6)
+    assert summary["checks"] == 71301
+    # 23,665 gate calls before the 3*theta + 1 <= n rule; the classifier
+    # still runs once per (labeled graph, lambda) it ran on before
+    assert calls == {"_form_d_gate": 2610, "_classify": 21913}
+
+
 # ---------------------------------------------------------------------------
 # Certified spectra
 
@@ -441,6 +490,24 @@ def test_connected_sweep_cap6_summary_digest():
     assert _json_sha1(summary) == "3eab773926f632506a66d31c9f09c2b30208c96d"
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        "conn:foo",  # not key-shaped
+        "conn:n6",  # no mask
+        "conn:n6:mxyz",  # mask not a number
+        "conn:n06:m7",  # not the sweep's spelling, so it would match nothing
+        "conn:n4:m0",  # disconnected
+        "conn:n9:m3",  # order above the cap
+        "conn:n1:m0",  # order below the sweep's 2
+        "conn:n6:m99999999",  # bits beyond the 15 edge slots
+    ],
+)
+def test_connected_only_key_is_validated(key):
+    with pytest.raises(ParameterOutOfRange):
+        _run("connected", cap=7, only=key)
+
+
 def test_campaign_time_budget():
     with pytest.raises(TimeBudgetExceeded) as err:
         _run("connected", cap=7, time_budget_secs=0.05)
@@ -448,6 +515,24 @@ def test_campaign_time_budget():
     assert err.value.discrepancies == []
     payload = err.value.payload()
     assert payload["partial"] is True and "summary" in payload
+
+
+def test_campaign_zero_time_budget_stops_at_once(monkeypatch):
+    with pytest.raises(TimeBudgetExceeded) as err:
+        _run("fixtures", time_budget_secs=0)
+    assert err.value.summary["instances"] == 0
+    monkeypatch.setenv("SPECMULT_TIME_BUDGET_SECS", "0")
+    with pytest.raises(TimeBudgetExceeded):
+        _run("fixtures")
+
+
+@pytest.mark.parametrize("budget", [-1, float("nan"), "soon"])
+def test_campaign_time_budget_rejects_bad_values(monkeypatch, budget):
+    with pytest.raises(ParameterOutOfRange):
+        _run("fixtures", time_budget_secs=budget)
+    monkeypatch.setenv("SPECMULT_TIME_BUDGET_SECS", str(budget))
+    with pytest.raises(ParameterOutOfRange):
+        _run("fixtures")
 
 
 def test_small_campaigns_have_zero_discrepancies():

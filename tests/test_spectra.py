@@ -9,11 +9,12 @@ from sympy.polys.matrices import DomainMatrix
 
 import specmult.spectra as spectra_mod
 from specmult.errors import AmbiguousCluster, ParameterOutOfRange
-from specmult.graphs import cycle_graph, path_graph, star_graph
+from specmult.graphs import Graph, cycle_graph, path_graph, star_graph, theta_graph
 from specmult.hermitian import (
     ExactComplex,
     HermitianMatrix,
     adjacency_matrix,
+    principal_submatrix,
     random_in_S,
 )
 from specmult.spectra import (
@@ -141,6 +142,65 @@ def test_scaled_char_poly_against_sympy():
         ref_coeffs = tuple(reversed([int(sympy.nsimplify(c)) for c in ref.all_coeffs()]))
         assert p.coeffs == ref_coeffs
         assert p.is_monic
+
+
+def _deletion_test_matrices():
+    """Seeded Gaussian-rational matrices (complex, non-integer entries) on
+    1..6 vertices, n = 1 and 2 included, plus integer and halved adjacency
+    matrices whose deletions share eigenvalues."""
+    rng = random.Random(11)
+    out = []
+    for n in [1, 2, 2] + [rng.randint(3, 6) for _ in range(9)]:
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+        out.append(random_in_S(Graph(n, edges), seed=rng.randrange(1 << 20)))
+    for g in (theta_graph(3, 2, 2), star_graph(4), cycle_graph(6)):
+        a = adjacency_matrix(g)
+        out.append(a)
+        halved = [[ExactComplex(e.re / 2, e.im / 2) for e in row] for row in a.entries]
+        out.append(HermitianMatrix.from_rows(halved, pattern=g))
+    return out
+
+
+def _delete(b, v):
+    return principal_submatrix(b, [u for u in range(b.n) if u != v])[0]
+
+
+def test_adjugate_diagonal_gives_vertex_deleted_charpolys():
+    for b in _deletion_test_matrices():
+        d, cre, cim = spectra_mod._clear_denominators(b.entries)
+        charpoly, deleted = spectra_mod._faddeev_leverrier(cre, cim)
+        assert charpoly == scaled_char_poly(b)[0]
+        assert len(deleted) == b.n
+        for v in range(b.n):
+            # det(xI - d*B_v) = d^(n-1) det((x/d)I - B_v), coefficientwise
+            unscaled = [Fraction(c, d ** (b.n - 1 - j)) for j, c in enumerate(deleted[v])]
+            assert tuple(unscaled) == tuple(char_poly_exact(_delete(b, v)).coeffs), (b.n, v)
+
+
+def test_deletion_multiplicities_match_each_submatrix():
+    checked = positive = 0
+    for b in _deletion_test_matrices():
+        lams = {Fraction(1, 3), Fraction(0)}
+        for v in range(b.n):
+            for f, _ in irreducible_factors(char_poly_exact(_delete(b, v))):
+                if f.degree == 1:
+                    lams.add(Fraction(-f.coeffs[0], f.coeffs[1]))
+                else:
+                    root = max(r for r in np.roots(list(reversed(f.coeffs))) if abs(r.imag) < 1e-9)
+                    lams.add(AlgebraicEigenvalue(f, float(root.real)))
+        for lam in lams:
+            got = spectra_mod.deletion_multiplicities(b, lam, range(b.n))
+            want = [multiplicity(_delete(b, v), lam).multiplicity for v in range(b.n)]
+            assert got == want, (b.n, lam)
+            checked += 1
+            positive += any(want)
+    assert checked > 100 and positive > 50
+    # inexact matrices and float eigenvalues count each submatrix (a path
+    # P_5, eigenvalues 0, +-1, +-sqrt 3) numerically
+    c6 = adjacency_matrix(cycle_graph(6))
+    approx = HermitianMatrix.from_rows([[float(e.re) for e in row] for row in c6.entries])
+    assert spectra_mod.deletion_multiplicities(approx, 1.0, [0, 3]) == [1, 1]
+    assert spectra_mod.deletion_multiplicities(c6, 2.0, [5]) == [0]
 
 
 def test_char_poly_exact_rational_case():

@@ -41,6 +41,7 @@ from specmult.theorems import (
     RELATIONS,
     RelationProbe,
     _classify,
+    _structure,
     check_upper_bound,
     conclusion_classifier,
     corollary_minus_one_tree,
@@ -369,6 +370,42 @@ def test_classifier_evidence_golden_digest():
                 outcomes += 1
     assert outcomes == 3639
     assert digest.hexdigest() == "0ba732f3f19dc3eb60fde18a9630f79e445ad4ee12d516bdcb1bb79caf12b5c0"
+
+
+def _scramble(obj):
+    """Overwrite every list and dict reachable from obj in place."""
+    if isinstance(obj, dict):
+        for k in list(obj):
+            _scramble(obj[k])
+            obj[k] = "scrambled"
+    elif isinstance(obj, list):
+        for x in obj:
+            _scramble(x)
+        obj[:] = ["scrambled"]
+
+
+def test_structure_memo_hands_out_immutable_values():
+    g_d, b_d = _triangle_with_offcycle_major()
+    cases = [
+        (star_graph(3), adjacency_matrix(star_graph(3)), Fraction(0)),
+        (g_d, b_d, Fraction(-1)),
+        (theta_graph(2, 2, 2), adjacency_matrix(theta_graph(2, 2, 2)), Fraction(0)),
+        (infinity_graph(3, 3, 3), adjacency_matrix(infinity_graph(3, 3, 3)), Fraction(-1)),
+    ]
+    for g, b, lam in cases:
+        st = _structure(g)
+        # keyed on the labeled graph: an equal graph shares it, a relabeled one does not
+        assert _structure(Graph(g.n, g.edges)) is st
+        flipped = Graph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges])
+        assert flipped == g or _structure(flipped) is not st
+        # nested tuples and frozen records only, so nothing in it can change
+        hash((st.family, st.theta, st.p, st.majors, st.tree, st.form_c, st.form_d))
+        # evidence is built on every call: wrecking one reply alters no later one
+        first = conclusion_classifier(g, b, lam)
+        assert first.evidence["consistent"] and first.verdict.startswith("OneDeficient")
+        want = json.dumps(first.as_json(), sort_keys=True)
+        _scramble(first.evidence)
+        assert json.dumps(conclusion_classifier(g, b, lam).as_json(), sort_keys=True) == want
 
 
 def test_classifier_preconditions():
