@@ -17,6 +17,7 @@ when the polynomial has several.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -113,6 +114,7 @@ def _add_matrix_flags(sp) -> None:
     )
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="specmult",

@@ -261,23 +261,40 @@ def validate_pattern(b: HermitianMatrix, g: Graph) -> bool:
     support is exactly the edge set of g."""
     if b.n != g.n:
         raise DimensionMismatch(f"matrix order {b.n} vs graph order {g.n}")
+    if b.is_exact:
+        return _exact_in_pattern(b.entries, g)
     for i in range(b.n):
-        di = b.entries[i][i]
-        if isinstance(di, ExactComplex):
-            if di.im != 0:
-                return False
-        elif abs(di.imag) > _APPROX_HERMITIAN_TOL:
+        if abs(b.entries[i][i].imag) > _APPROX_HERMITIAN_TOL:
             return False
         for j in range(i + 1, b.n):
             x, y = b.entries[i][j], b.entries[j][i]
-            if isinstance(x, ExactComplex):
-                if x != y.conjugate():
-                    return False
-            elif abs(x - y.conjugate()) > _APPROX_HERMITIAN_TOL:
+            if abs(x - y.conjugate()) > _APPROX_HERMITIAN_TOL:
                 return False
             if _entry_nonzero(x) != g.has_edge(i, j):
                 return False
     return True
+
+
+def _exact_in_pattern(rows: Sequence[Sequence[ExactComplex]], g: Graph) -> bool:
+    """validate_pattern on exact entries. A Fraction's integer ratio is in
+    lowest terms with a positive denominator, so tuple equality is Fraction
+    equality; the pairs are compared without building a conjugate."""
+    edges = g.edge_set
+    support = 0
+    for i, row in enumerate(rows):
+        if row[i].im:
+            return False
+        for j in range(i + 1, len(rows)):
+            x, y = row[j], rows[j][i]
+            xr, (xn, xd) = x.re.as_integer_ratio(), x.im.as_integer_ratio()
+            yn, yd = y.im.as_integer_ratio()
+            if xr != y.re.as_integer_ratio() or xn != -yn or xd != yd:
+                return False
+            if xr[0] or xn:
+                if (i, j) not in edges:
+                    return False
+                support += 1
+    return support == len(edges)
 
 
 def adjacency_matrix(g: Graph, scalar: str = "exact") -> HermitianMatrix:

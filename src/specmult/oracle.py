@@ -1266,7 +1266,9 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
     actually hits bound - 1.
     """
     only_mask = None
-    if cfg.only is not None and cfg.only.startswith("conn:"):
+    if cfg.only is not None:
+        if not cfg.only.startswith("conn:"):
+            return  # another campaign's key names no graph of this sweep
         only_mask = _parse_conn_key(cfg.only, rec.cap)
     chunk = 8192
     for n in range(2, rec.cap + 1):

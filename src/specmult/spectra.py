@@ -1,10 +1,13 @@
 """Eigenvalue multiplicity machinery.
 
-Exact route: rank by fraction-free Bareiss elimination over the Gaussian
-integers, after clearing denominators (multiplicity of a rational eigenvalue
-is n - rank(B - lambda*I)), and integer characteristic polynomials via
-Faddeev-LeVerrier for algebraic eigenvalues described by their monic integer
-minimal polynomial.
+Exact route: the multiplicity of a rational eigenvalue lambda = p/q is
+n - rank(B - lambda*I), computed in integers throughout. B is cleared once
+to Gaussian integer tables d*B, the shift is made in Z as
+q*(d*B) - p*d*I, and one fraction-free Bareiss kernel takes the rank; it
+computes no entry whose operands are both 0. Algebraic eigenvalues,
+described by their minimal polynomial, go through integer characteristic
+polynomials via Faddeev-LeVerrier. hermitian.validate_pattern checks exact
+matrices on integer ratios as well.
 
 Numeric route: Hermitian eigendecomposition with a residual bound of
 10 * n * eps * ||B||  (c = 10; ||B|| is the spectral norm read off the
@@ -407,18 +410,25 @@ def char_poly_exact(b: HermitianMatrix) -> AnyPolynomial:
 
 
 def exact_rank(rows: Sequence[Sequence[ExactComplex]]) -> int:
-    """Rank over the Gaussian rationals by fraction-free Bareiss elimination
-    over the Gaussian integers.
+    """Rank over the Gaussian rationals: denominators are cleared once, then
+    the Gaussian integer tables go through _bareiss_rank."""
+    _, re, im = _clear_denominators(rows)
+    return _bareiss_rank(re, im)
 
-    Denominators are cleared once; each elimination step then replaces an
-    entry x by (a*x - l*y) / q, where a is the pivot, l the row's leading
-    entry, y the pivot row's entry and q the previous pivot. By Sylvester's
-    identity the quotient is again a Gaussian integer, so it is computed as
-    num*conj(q) / |q|^2 and a nonzero remainder raises AssertionError rather
-    than yield a wrong rank. Rows are swapped to find a pivot; columns
+
+def _bareiss_rank(re: list[list[int]], im: list[list[int]]) -> int:
+    """Rank of the Gaussian integer matrix re + i*im by fraction-free Bareiss
+    elimination (E. H. Bareiss, Math. Comp. 22 (1968) 565-578).
+
+    Each elimination step replaces an entry x by (a*x - l*y) / q, where a is
+    the pivot, l the row's leading entry, y the pivot row's entry and q the
+    previous pivot. By Sylvester's identity the quotient is again a Gaussian
+    integer, so it is computed as num*conj(q) / |q|^2 and a nonzero
+    remainder raises AssertionError rather than yield a wrong rank. Where x
+    and y are both 0 the new entry is (a*0 - l*0) / q = 0 exactly, so
+    nothing is computed there. Rows are swapped to find a pivot; columns
     without one are skipped.
     """
-    _, re, im = _clear_denominators(rows)
     # each work row holds (real parts, imaginary parts) of its not yet
     # eliminated columns
     work = list(zip(re, im))
@@ -437,6 +447,10 @@ def exact_rank(rows: Sequence[Sequence[ExactComplex]]) -> int:
             lr, li = r[0], i[0]
             out_re, out_im = [], []
             for xr, xi, yr, yi in zip(r[1:], i[1:], prow, pirow):
+                if not (xr or xi or yr or yi):
+                    out_re.append(0)
+                    out_im.append(0)
+                    continue
                 tr = ar * xr - ai * xi - lr * yr + li * yi
                 ti = ar * xi + ai * xr - lr * yi - li * yr
                 qr, rem_r = divmod(tr * cr - ti * ci, norm)
@@ -472,6 +486,12 @@ class AlgebraicEigenvalue:
 EigenvalueLike = Union[int, Fraction, float, AlgebraicEigenvalue]
 
 
+def _is_exact_scalar(lam) -> bool:
+    """Is lambda an exact rational: an int or a Fraction that is not a bool?
+    Anything else (a float, a numpy integer, True) takes the numeric route."""
+    return isinstance(lam, (int, Fraction)) and not isinstance(lam, bool)
+
+
 def describe_eigenvalue(lam: EigenvalueLike):
     """JSON-friendly descriptor for an eigenvalue."""
     if isinstance(lam, AlgebraicEigenvalue):
@@ -480,7 +500,7 @@ def describe_eigenvalue(lam: EigenvalueLike):
             "minpoly": list(lam.minpoly.coeffs),
             "approx": lam.approx,
         }
-    if isinstance(lam, (int, Fraction)) and not isinstance(lam, bool):
+    if _is_exact_scalar(lam):
         return {"kind": "rational", "value": str(Fraction(lam))}
     return {"kind": "float", "value": float(lam)}
 
@@ -514,19 +534,23 @@ class SpectrumNumeric:
 
 
 def multiplicity_exact_rational(b: HermitianMatrix, lam) -> MultiplicityResult:
-    """n - rank(B - lambda*I) over the Gaussian rationals."""
+    """n - rank(B - lambda*I) over the Gaussian rationals.
+
+    With d*B cleared to Gaussian integer tables and lambda = p/q, the shift
+    is made in Z: q*(d*B) - p*d*I = q*d*(B - lambda*I) has the same rank.
+    """
     if not b.is_exact:
         raise ParameterOutOfRange("exact multiplicity needs exact entries")
     lam = Fraction(lam)
-    rows = [
-        [
-            b.entries[i][j] - ExactComplex(lam, 0) if i == j else b.entries[i][j]
-            for j in range(b.n)
-        ]
-        for i in range(b.n)
-    ]
-    rank = exact_rank(rows)
-    return MultiplicityResult(lam, b.n - rank, "ExactRank", 0.0)
+    p, q = lam.as_integer_ratio()
+    d, re, im = _clear_denominators(b.entries)
+    if q != 1:
+        re = [[q * x for x in row] for row in re]
+        im = [[q * x for x in row] for row in im]
+    shift = p * d
+    for i, row in enumerate(re):
+        row[i] -= shift
+    return MultiplicityResult(lam, b.n - _bareiss_rank(re, im), "ExactRank", 0.0)
 
 
 def multiplicity_exact_algebraic(b: HermitianMatrix, lam: AlgebraicEigenvalue) -> MultiplicityResult:
@@ -579,7 +603,7 @@ def deletion_multiplicities(
         d, _, deleted = _scaled_tables(b)
         nu = _scaled_minpoly(lam, d)
         return [multiplicity_via_minpoly(IntPolynomial(deleted[v]), nu) for v in vertices]
-    if b.is_exact and isinstance(lam, (int, Fraction)) and not isinstance(lam, bool):
+    if b.is_exact and _is_exact_scalar(lam):
         d, _, deleted = _scaled_tables(b)
         r = Fraction(lam) * d
         if r.denominator != 1:
@@ -643,7 +667,7 @@ def multiplicity(b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8) -> 
     if b.is_exact:
         if isinstance(lam, AlgebraicEigenvalue):
             return multiplicity_exact_algebraic(b, lam)
-        if isinstance(lam, (int, Fraction)) and not isinstance(lam, bool):
+        if _is_exact_scalar(lam):
             return multiplicity_exact_rational(b, lam)
         return multiplicity_numeric(b, float(lam), tol)
     return multiplicity_numeric(b, lam, tol)
@@ -664,7 +688,7 @@ def path_spectrum_membership(b_p: HermitianMatrix, lam: EigenvalueLike, tol: flo
     g = b_p.pattern
     if not is_path_graph(g):
         raise NotAPath("pattern must be a path")
-    if b_p.is_exact and isinstance(lam, (int, Fraction)) and not isinstance(lam, bool):
+    if b_p.is_exact and _is_exact_scalar(lam):
         lam = Fraction(lam)
         order = path_order(g)
         prev2, prev1 = Fraction(1), Fraction(1)

@@ -53,6 +53,7 @@ from .spectra import (
     AlgebraicEigenvalue,
     EigenvalueLike,
     IntPolynomial,
+    _is_exact_scalar,
     deletion_multiplicities,
     describe_eigenvalue,
     eigenvalue_float,
@@ -126,7 +127,8 @@ def structural_bound(g: Graph) -> int:
 
 
 def _is_certified(b: HermitianMatrix, lam: EigenvalueLike) -> bool:
-    return b.is_exact and not isinstance(lam, float)
+    """Does multiplicity() take an exact method for this input?"""
+    return b.is_exact and (isinstance(lam, AlgebraicEigenvalue) or _is_exact_scalar(lam))
 
 
 def _mult(b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8) -> int:

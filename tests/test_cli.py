@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import specmult.cli as cli_mod
 from specmult.cli import main
 from specmult.graphs import cycle_graph, serialize_graph, tadpole_graph
 from specmult.hermitian import adjacency_matrix, serialize_matrix
@@ -187,6 +188,39 @@ def test_usage_errors_exit_2(capsys, c5_file):
     with pytest.raises(SystemExit) as exc:
         main(["mult", "--graph", c5_file, "--exact", "--numeric", "--lambda", "0"])
     assert exc.value.code == 2
+
+
+def test_repeated_calls_in_one_process_agree(capsys, c5_file):
+    """main() builds its parser once per process; every later call, after
+    successes, domain errors and usage errors alike, answers as the first."""
+    argvs = [
+        ["analyze", "--graph", c5_file, "--json"],
+        ["mult", "--graph", c5_file, "--lambda", "2", "--json"],
+        ["classify", "--graph", c5_file, "--lambda", "2"],
+        ["check", "--relation", "interlace-v", "--graph", c5_file, "--lambda", "2", "--vertex", "1"],
+        ["verify", "--campaign", "connected", "--cap", "3"],
+        ["mult", "--graph", c5_file],
+        ["mult", "--graph", c5_file, "--matrix", c5_file, "--adjacency", "--lambda", "0"],
+        ["check", "--relation", "nope", "--graph", c5_file],
+        ["analyze"],
+        [],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = [outcome(argv) for argv in argvs]
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 0, 1, 2, 2, 2, 2]
+    assert all(err.startswith("usage: specmult") for _, _, err in first[6:])
+    for _ in range(2):
+        assert [outcome(argv) for argv in argvs] == first
+    assert [outcome(argv) for argv in reversed(argvs)] == first[::-1]
+    assert cli_mod._build_parser() is cli_mod._build_parser()
 
 
 def test_missing_file_reports_io_error(capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,83 @@ def test_pattern_validation_against_graph():
     rows = [[e for e in row] for row in b.entries]
     with pytest.raises(PatternMismatch):
         HermitianMatrix.from_rows(rows, pattern=cycle_graph(3))
+
+
+def _in_pattern_reference(b: HermitianMatrix, g: Graph) -> bool:
+    """validate_pattern's contract, entry by entry with Fraction arithmetic."""
+    for i in range(b.n):
+        if b.entries[i][i].im != 0:
+            return False
+        for j in range(b.n):
+            x, y = b.entries[i][j], b.entries[j][i]
+            if i != j and (x.re != y.re or x.im != -y.im or (x.re != 0 or x.im != 0) != g.has_edge(i, j)):
+                return False
+    return True
+
+
+def _mutations(rng, b: HermitianMatrix):
+    """(label, rows) pairs: b itself and b with one seeded fault."""
+    n = b.n
+    edges = list(b.pattern.edges)
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not b.pattern.has_edge(u, v)]
+    yield "intact", [list(r) for r in b.entries]
+    u, v = rng.choice(edges)
+    x = b.entries[u][v]
+    shift = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+    for label, new in (
+        ("conjugate pair, real part", ExactComplex(x.re + shift, -x.im)),
+        ("conjugate pair, imaginary part", ExactComplex(x.re, -x.im + shift)),
+    ):
+        rows = [list(r) for r in b.entries]
+        rows[v][u] = new
+        yield label, rows
+    rows = [list(r) for r in b.entries]
+    w = rng.randrange(n)
+    rows[w][w] = ExactComplex(rows[w][w].re, shift)
+    yield "imaginary diagonal", rows
+    rows = [list(r) for r in b.entries]
+    rows[u][v] = rows[v][u] = ExactComplex()
+    yield "missing edge", rows
+    if non_edges:
+        a, c = rng.choice(non_edges)
+        rows = [list(r) for r in b.entries]
+        rows[a][c] = ExactComplex(0, shift)
+        rows[c][a] = ExactComplex(0, -shift)
+        yield "extra support", rows
+
+
+def test_exact_validation_matches_an_entrywise_reference():
+    """validate_pattern's exact route on seeded faults: every fault is
+    rejected, every intact matrix accepted, as the reference says."""
+    rng = random.Random(59)
+    seen = {}
+    for _ in range(120):
+        n = rng.randint(2, 8)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 2))}
+        g = Graph(n, sorted(edges))
+        b = random_in_S(g, rng.randrange(1 << 30))
+        for label, rows in _mutations(rng, b):
+            m = HermitianMatrix(n, tuple(map(tuple, rows)), g, "exact")
+            want = _in_pattern_reference(m, g)
+            assert validate_pattern(m, g) == want, label
+            assert want == (label == "intact"), label
+            seen[label] = seen.get(label, 0) + 1
+    assert len(seen) == 6 and min(seen.values()) >= 50
+
+
+def test_exact_validation_compares_values_not_objects():
+    # 2/4 and 1/2 are equal Fractions held in distinct objects
+    half, two_quarters = Fraction(1, 2), Fraction(2, 4)
+    assert half == two_quarters and half is not two_quarters
+    g = path_graph(2)
+    rows = (
+        (ExactComplex(two_quarters), ExactComplex(half, two_quarters)),
+        (ExactComplex(Fraction(1, 2), -half), ExactComplex(Fraction(-2, -4))),
+    )
+    assert validate_pattern(HermitianMatrix(2, rows, g, "exact"), g)
+    off = ((rows[0][0], ExactComplex(half, Fraction(2, 4))), (ExactComplex(half, Fraction(2, 4)), rows[1][1]))
+    assert not validate_pattern(HermitianMatrix(2, off, g, "exact"), g)
 
 
 def test_adjacency_matrix_exact_and_numeric():

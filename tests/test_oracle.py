@@ -415,6 +415,31 @@ def test_campaign_only_replays_single_instance():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+def test_connected_sweep_builds_nothing_for_a_foreign_key(monkeypatch):
+    """Another campaign's --only key names no graph of the sweep: no mask
+    table and no charpoly batch is built, and the summary is the empty one
+    the full pass reported (pinned by sha1 of its sorted JSON)."""
+    calls = {"_connected_masks": 0, "_batched_charpoly": 0}
+    for name in calls:
+        real = getattr(oracle_mod, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(oracle_mod, name, counted)
+    pinned = {
+        6: "982b4de3f745f5e16b6b01eac800cb57abdeadaa",
+        7: "05ef038141c8ce782ad8e02a753ac714e4fc5a43",
+    }
+    for cap, sha in pinned.items():
+        summary, discrepancies = _run("connected", cap=cap, only="tree:n6:i3")
+        text = json.dumps(summary, sort_keys=True, indent=2)
+        assert hashlib.sha1(text.encode()).hexdigest() == sha
+        assert summary["instances"] == 0 and summary["complete"] and discrepancies == []
+    assert calls == {"_connected_masks": 0, "_batched_charpoly": 0}
+
+
 def test_campaign_max_instances_truncates(monkeypatch):
     real = oracle_mod.enumerate_trees
     orders = []

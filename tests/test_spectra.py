@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from sympy import QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 import specmult.spectra as spectra_mod
@@ -20,6 +21,7 @@ from specmult.hermitian import (
 from specmult.spectra import (
     AlgebraicEigenvalue,
     IntPolynomial,
+    _is_exact_scalar,
     char_poly_exact,
     cyclotomic,
     describe_eigenvalue,
@@ -314,6 +316,113 @@ def test_multiplicity_exact_rational_fixture():
     assert res.multiplicity == 2 and res.method == "ExactRank"
     assert multiplicity_exact_rational(b, Fraction(2)).multiplicity == 1
     assert multiplicity_exact_rational(b, Fraction(5)).multiplicity == 0
+
+
+def _connected_pattern(rng, n: int) -> Graph:
+    """A random spanning tree on n vertices plus up to three chords."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    if n > 1:
+        edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 3))}
+    return Graph(n, sorted(edges))
+
+
+def _twin_pendants(rng, twins: int) -> tuple[HermitianMatrix, Fraction]:
+    """random_in_S on a random tree with `twins` extra pendants hung on
+    vertex 0, all with one diagonal entry c: then c is an eigenvalue of
+    multiplicity at least twins - 1 (a vector on two of the pendants,
+    weighted against their edges to 0, is annihilated by B - c*I)."""
+    base = rng.randint(1, 5)
+    edges = [(rng.randrange(v), v) for v in range(1, base)]
+    edges += [(0, base + t) for t in range(twins)]
+    b = random_in_S(Graph(base + twins, edges), rng.randrange(1 << 30))
+    c = b.entries[base][base].re
+    rows = [list(r) for r in b.entries]
+    for t in range(twins):
+        rows[base + t][base + t] = ExactComplex(c)
+    return HermitianMatrix(b.n, tuple(map(tuple, rows)), b.pattern, "exact"), c
+
+
+def _shifted_over_qq_i(b: HermitianMatrix, lam: Fraction) -> DomainMatrix:
+    """B - lambda*I as a sympy matrix over QQ<I>, straight from the entries."""
+    rows = [
+        [QQ_I(e.re - (lam if i == j else 0), e.im) for j, e in enumerate(row)]
+        for i, row in enumerate(b.entries)
+    ]
+    return DomainMatrix(rows, (b.n, b.n), QQ_I)
+
+
+def _pinned(rng, n: int) -> tuple[HermitianMatrix, Fraction]:
+    """random_in_S with B[0][0] re-chosen so that a non-integer lambda is an
+    eigenvalue. det(B - lambda*I) is affine in B[0][0]: it is t*D + R, with
+    t = B[0][0] - lambda, D the determinant with row and column 0 deleted
+    and R the determinant with t = 0, so t = -R/D (both real, B Hermitian)."""
+    while True:
+        b = random_in_S(_connected_pattern(rng, n), rng.randrange(1 << 30))
+        lam = Fraction(2 * rng.randint(-20, 20) + 1, 2 * rng.randint(1, 5))
+        rows = [list(r) for r in b.entries]
+        rows[0][0] = ExactComplex(lam)
+        r_det = _shifted_over_qq_i(HermitianMatrix(n, tuple(map(tuple, rows)), b.pattern, "exact"), lam).det()
+        d_det = _shifted_over_qq_i(principal_submatrix(b, range(1, n))[0], lam).det()
+        if d_det != 0:
+            t = r_det / d_det
+            rows[0][0] = ExactComplex(lam - Fraction(int(t.x.numerator), int(t.x.denominator)))
+            return HermitianMatrix(n, tuple(map(tuple, rows)), b.pattern, "exact"), lam
+
+
+def _probes(rng, b: HermitianMatrix) -> list[Fraction]:
+    """0, +-1, a diagonal entry, p/q with q up to 10^6, and rationals whose
+    product with the clearing denominator d is integral and is not."""
+    d = math.lcm(*(f.denominator for row in b.entries for e in row for f in (e.re, e.im)))
+    v = rng.randrange(b.n)
+    return [
+        Fraction(0),
+        Fraction(1),
+        Fraction(-1),
+        b.entries[v][v].re,
+        Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)),
+        Fraction(rng.randint(-30, 30), d),
+        Fraction(rng.randint(-30, 30) * 2 + 1, 7 * d),
+    ]
+
+
+def test_multiplicity_exact_rational_against_sympy():
+    """n - rank(B - lambda*I) from the integer route equals sympy's rank over
+    QQ<I> on random matrices in S(G), and on twin-pendant and pinned
+    matrices with a known eigenvalue."""
+    rng = random.Random(41)
+    cases = []
+    for n in range(1, 11):
+        for _ in range(6):
+            b = random_in_S(_connected_pattern(rng, n), rng.randrange(1 << 30))
+            cases.append((b, _probes(rng, b)))
+    for _ in range(30):
+        b, c = _twin_pendants(rng, rng.randint(2, 4))
+        cases.append((b, [c] + _probes(rng, b)))
+    for _ in range(30):
+        b, lam = _pinned(rng, rng.randint(2, 8))
+        cases.append((b, [lam] + _probes(rng, b)))
+    deficient = fractional = 0
+    for b, lams in cases:
+        for lam in lams:
+            m = multiplicity_exact_rational(b, lam).multiplicity
+            assert m == b.n - _shifted_over_qq_i(b, lam).to_field().rank(), (b.entries, lam)
+            deficient += m > 0
+            fractional += m > 0 and lam.denominator > 1
+    # every twin-pendant and pinned matrix contributes at least one, and
+    # n = 1 always hits at its diagonal entry: 84 in all, 54 of them at a
+    # non-integer lambda, where the shift scales the whole matrix by q
+    assert deficient >= 75 and fractional >= 45
+
+
+def test_is_exact_scalar():
+    assert _is_exact_scalar(0) and _is_exact_scalar(Fraction(1, 2))
+    for lam in (True, np.int64(0), 0.5, AlgebraicEigenvalue.from_2cos(5, 1)):
+        assert not _is_exact_scalar(lam)
+    # a bool or a numpy integer is asked numerically, never as an exact rank
+    b = adjacency_matrix(cycle_graph(4))
+    assert multiplicity(b, np.int64(0)).method == "NumericCluster"
+    assert multiplicity(b, True).method == "NumericCluster"
+    assert multiplicity(b, 0).method == "ExactRank"
 
 
 def test_multiplicity_algebraic_vs_numeric():

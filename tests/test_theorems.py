@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from specmult.errors import (
@@ -353,6 +354,29 @@ def test_classify_trusts_precomputed_multiplicity():
     out = _classify(c5, a, Fraction(2), 1e-8, 1, "precomputed")
     assert out.verdict == "OneDeficientFormB"
     assert out.evidence["method"] == "precomputed"
+
+
+def test_certified_means_an_exact_method_ran():
+    """The classifier's certified flag agrees with the method that decided
+    the multiplicity: a bool or a numpy integer goes to the numeric
+    cluster count, so it is not certified."""
+    g = cycle_graph(4)
+    a = adjacency_matrix(g)
+    cases = [
+        (True, False),
+        (np.int64(0), False),
+        (0.5, False),
+        (0, True),
+        (Fraction(1, 2), True),
+        (AlgebraicEigenvalue.from_2cos(5, 1), True),
+    ]
+    for lam, exact in cases:
+        ev = conclusion_classifier(g, a, lam).evidence
+        assert ev["certified"] is exact, lam
+        assert (ev["method"] != "NumericCluster") is exact, lam
+    approx = adjacency_matrix(g, scalar="approx")
+    ev = conclusion_classifier(g, approx, Fraction(0)).evidence
+    assert ev["certified"] is False and ev["method"] == "NumericCluster"
 
 
 def test_classifier_evidence_golden_digest():
