@@ -214,13 +214,8 @@ class HermitianMatrix:
                     else:
                         cr.append(ExactComplex(_frac(x), 0))
                 conv.append(tuple(cr))
+            # the Hermitian check is validate_pattern's, below
             ents = tuple(conv)
-            for i in range(n):
-                if ents[i][i].im != 0:
-                    raise PatternMismatch(f"diagonal entry {i} not real")
-                for j in range(i + 1, n):
-                    if ents[i][j] != ents[j][i].conjugate():
-                        raise PatternMismatch(f"entries ({i},{j}) and ({j},{i}) not conjugate")
         else:
             ents = tuple(
                 tuple(complex(x.to_complex() if isinstance(x, ExactComplex) else x) for x in r)
@@ -246,7 +241,7 @@ class HermitianMatrix:
             pattern = Graph(n, edges)
         mat = cls(n, ents, pattern, scalar)
         if not validate_pattern(mat, pattern):
-            raise PatternMismatch("matrix support does not match the supplied graph")
+            raise PatternMismatch("matrix is not Hermitian with its support on the graph's edges")
         return mat
 
 

@@ -409,16 +409,14 @@ def char_poly_exact(b: HermitianMatrix) -> AnyPolynomial:
 # Exact rank / multiplicity
 
 
-def exact_rank(rows: Sequence[Sequence[ExactComplex]]) -> int:
-    """Rank over the Gaussian rationals: denominators are cleared once, then
-    the Gaussian integer tables go through _bareiss_rank."""
-    _, re, im = _clear_denominators(rows)
-    return _bareiss_rank(re, im)
+def exact_rank(rows, im: list[list[int]] | None = None) -> int:
+    """Rank over the Gaussian rationals by fraction-free Bareiss elimination
+    over the Gaussian integers (E. H. Bareiss, Math. Comp. 22 (1968)
+    565-578).
 
-
-def _bareiss_rank(re: list[list[int]], im: list[list[int]]) -> int:
-    """Rank of the Gaussian integer matrix re + i*im by fraction-free Bareiss
-    elimination (E. H. Bareiss, Math. Comp. 22 (1968) 565-578).
+    rows holds ExactComplex entries, whose denominators are cleared first;
+    or, with im given, rows + i*im is already a Gaussian integer matrix,
+    held as tables of real and imaginary parts.
 
     Each elimination step replaces an entry x by (a*x - l*y) / q, where a is
     the pivot, l the row's leading entry, y the pivot row's entry and q the
@@ -429,9 +427,11 @@ def _bareiss_rank(re: list[list[int]], im: list[list[int]]) -> int:
     nothing is computed there. Rows are swapped to find a pivot; columns
     without one are skipped.
     """
+    if im is None:
+        _, rows, im = _clear_denominators(rows)
     # each work row holds (real parts, imaginary parts) of its not yet
     # eliminated columns
-    work = list(zip(re, im))
+    work = list(zip(rows, im))
     rank = 0
     cr, ci, norm = 1, 0, 1  # conj(q) scaled so that x / q = x*(cr + ci*i) / norm
     while work and work[0][0]:  # rows and columns remain
@@ -550,7 +550,7 @@ def multiplicity_exact_rational(b: HermitianMatrix, lam) -> MultiplicityResult:
     shift = p * d
     for i, row in enumerate(re):
         row[i] -= shift
-    return MultiplicityResult(lam, b.n - _bareiss_rank(re, im), "ExactRank", 0.0)
+    return MultiplicityResult(lam, b.n - exact_rank(re, im), "ExactRank", 0.0)
 
 
 def multiplicity_exact_algebraic(b: HermitianMatrix, lam: AlgebraicEigenvalue) -> MultiplicityResult:
