@@ -90,10 +90,6 @@ class AmbiguousCluster(SpecmultError):
         return d
 
 
-class NotAPath(SpecmultError):
-    """Operation requires a path graph."""
-
-
 class NotATree(SpecmultError):
     """Operation requires a tree."""
 

@@ -214,7 +214,6 @@ class HermitianMatrix:
                     else:
                         cr.append(ExactComplex(_frac(x), 0))
                 conv.append(tuple(cr))
-            # the Hermitian check is validate_pattern's, below
             ents = tuple(conv)
         else:
             ents = tuple(
@@ -225,12 +224,7 @@ class HermitianMatrix:
                 for j in range(n):
                     if not _is_finite_complex(ents[i][j]):
                         raise ParameterOutOfRange(f"entry ({i},{j}) is not finite")
-            for i in range(n):
-                if abs(ents[i][i].imag) > _APPROX_HERMITIAN_TOL:
-                    raise PatternMismatch(f"diagonal entry {i} not real")
-                for j in range(i + 1, n):
-                    if abs(ents[i][j] - ents[j][i].conjugate()) > _APPROX_HERMITIAN_TOL:
-                        raise PatternMismatch(f"entries ({i},{j}) and ({j},{i}) not conjugate")
+        # the Hermitian check, exact or approx, is validate_pattern's, below
         if pattern is None:
             edges = [
                 (i, j)

@@ -94,7 +94,6 @@ from .spectra import (
 )
 from .structure import (
     is_cycle_graph,
-    major_sets,
     pendant_paths,
 )
 from .theorems import (
@@ -946,27 +945,13 @@ def _campaign_unicyclic(cfg: CampaignConfig, rec: _Recorder) -> None:
                         f"multiplicity {c.multiplicity} vs target {p + 1}",
                     )
                 if c.multiplicity == bound - 1 and not is_cycle_graph(g):
-                    for x in _pendant_cycle_witnesses(g):
+                    for x in _structure(g).form_c[0]:
                         probe = RelationProbe("pendant-cycle", vertex=x, tol=cfg.tol)
                         try:
                             rel = lemma_relation_checks(g, a, c.lam, probe)
                         except SideConditionUnmet:
                             continue
                         rec.check("pendant-cycle", rel.holds, key, rel.instance, rel.rhs, rel.lhs)
-
-
-def _pendant_cycle_witnesses(g: Graph) -> list[int]:
-    from .structure import cycle_vertices
-
-    cyc = cycle_vertices(g)
-    majors = set(major_sets(g).X)
-    out = []
-    for x in cyc:
-        if g.degree(x) != 2:
-            continue
-        if any(w in majors and w in cyc for w in g.adj[x]):
-            out.append(x)
-    return out
 
 
 def _campaign_cstar(cfg: CampaignConfig, rec: _Recorder) -> None:

@@ -1,13 +1,21 @@
 """Eigenvalue multiplicity machinery.
 
+One dispatcher, multiplicity(), answers "how often is lambda an eigenvalue
+of this matrix?" for every caller, principal submatrices included; a piece
+"carries lambda" when its multiplicity is at least 1.
+
 Exact route: the multiplicity of a rational eigenvalue lambda = p/q is
 n - rank(B - lambda*I), computed in integers throughout. B is cleared once
 to Gaussian integer tables d*B, the shift is made in Z as
 q*(d*B) - p*d*I, and one fraction-free Bareiss kernel takes the rank; it
 computes no entry whose operands are both 0. Algebraic eigenvalues,
-described by their minimal polynomial, go through integer characteristic
-polynomials via Faddeev-LeVerrier. hermitian.validate_pattern checks exact
-matrices on integer ratios as well.
+described by their minimal polynomial, go through the one integer
+characteristic polynomial route, Faddeev-LeVerrier on d*B
+(scaled_char_poly), and division by the minimal polynomial of d*lambda.
+deletion_multiplicities reads the charpolys of every B - v off the same
+run and divides them the same way, a rational p/q taking the minimal
+polynomial q*x - p. hermitian.validate_pattern checks exact matrices on
+integer ratios as well.
 
 Numeric route: Hermitian eigendecomposition with a residual bound of
 10 * n * eps * ||B||  (c = 10; ||B|| is the spectral norm read off the
@@ -26,14 +34,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .errors import (
-    AmbiguousCluster,
-    ConvergenceFailure,
-    NotAPath,
-    ParameterOutOfRange,
-)
+from .errors import AmbiguousCluster, ConvergenceFailure, ParameterOutOfRange
 from .hermitian import ExactComplex, HermitianMatrix, principal_submatrix
-from .structure import is_path_graph, path_order
 
 # ---------------------------------------------------------------------------
 # Polynomials (coefficient tuples, lowest degree first)
@@ -85,13 +87,6 @@ def poly_divmod(a: Sequence, b: Sequence) -> tuple[tuple, tuple]:
     return _trim(q), _trim(a)
 
 
-def poly_eval(a: Sequence, x):
-    acc = 0
-    for c in reversed(_trim(a)):
-        acc = acc * x + c
-    return acc
-
-
 def poly_primitive_int(a: Sequence) -> tuple[int, ...]:
     """Clear denominators and divide by the content; positive leading coeff."""
     a = _trim(a)
@@ -137,9 +132,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def eval(self, x):
-        return poly_eval(self.coeffs, x)
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -162,28 +154,7 @@ class IntPolynomial:
         return out
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
-    """Rational-coefficient polynomial for matrices with fractional entries."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __init__(self, coeffs: Sequence):
-        cs = _trim([Fraction(c) for c in coeffs])
-        object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def eval(self, x):
-        return poly_eval(self.coeffs, x)
-
-
-AnyPolynomial = Union[IntPolynomial, RationalPolynomial]
-
-
-def irreducible_factors(p: AnyPolynomial) -> list[tuple[IntPolynomial, int]]:
+def irreducible_factors(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     """Irreducible integer factors with multiplicities (constants dropped)."""
     import sympy
 
@@ -280,7 +251,7 @@ def scale_minpoly(mu: IntPolynomial, d: int) -> IntPolynomial:
     return IntPolynomial([mu.coeffs[j] * d ** (deg - j) for j in range(deg + 1)])
 
 
-def multiplicity_via_minpoly(p: AnyPolynomial, mu: IntPolynomial) -> int:
+def multiplicity_via_minpoly(p: IntPolynomial, mu: IntPolynomial) -> int:
     """Largest m >= 0 with mu^m dividing p exactly (over the rationals).
 
     A non-monic divisor is fine; the division then runs over Fractions.
@@ -390,19 +361,6 @@ def _scaled_tables(b: HermitianMatrix) -> tuple[int, IntPolynomial, tuple]:
     """d with the memoised charpoly and vertex-deleted charpolys of d*B."""
     d, cre, cim = _clear_denominators(b.entries)
     return (d,) + _char_poly_of_tables(tuple(map(tuple, cre)), tuple(map(tuple, cim)))
-
-
-def char_poly_exact(b: HermitianMatrix) -> AnyPolynomial:
-    """det(xI - B), exact. Integer coefficients whenever the entries are
-    Gaussian integers, rational coefficients otherwise."""
-    scaled, d = scaled_char_poly(b)
-    if d == 1:
-        return scaled
-    n = b.n
-    coeffs = [Fraction(scaled.coeffs[k], d ** (n - k)) for k in range(n + 1)]
-    if all(c.denominator == 1 for c in coeffs):
-        return IntPolynomial([int(c) for c in coeffs])
-    return RationalPolynomial(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -558,30 +516,23 @@ def multiplicity_exact_algebraic(b: HermitianMatrix, lam: AlgebraicEigenvalue) -
     if not b.is_exact:
         raise ParameterOutOfRange("exact multiplicity needs exact entries")
     d, scaled, _ = _scaled_tables(b)
-    m = multiplicity_via_minpoly(scaled, _scaled_minpoly(lam, d))
+    m = multiplicity_via_minpoly(scaled, _scaled_minpoly(lam.minpoly, d))
     return MultiplicityResult(lam, m, "CharPolyDivision", 0.0)
 
 
-def _scaled_minpoly(lam: AlgebraicEigenvalue, d: int) -> IntPolynomial:
-    """The primitive minimal polynomial of d*lambda."""
-    nu = scale_minpoly(lam.minpoly, d)
+def _minpoly(lam: EigenvalueLike) -> IntPolynomial:
+    """The primitive integer minimal polynomial of an exact lambda; q*x - p
+    for a rational p/q."""
+    if isinstance(lam, AlgebraicEigenvalue):
+        return lam.minpoly
+    p, q = Fraction(lam).as_integer_ratio()
+    return IntPolynomial((-p, q))
+
+
+def _scaled_minpoly(mu: IntPolynomial, d: int) -> IntPolynomial:
+    """The primitive minimal polynomial of d*lambda, given mu of lambda."""
+    nu = scale_minpoly(mu, d)
     return nu if nu.is_monic else IntPolynomial(poly_primitive_int(nu.coeffs))
-
-
-def _root_multiplicity(coeffs: Sequence[int], r: int) -> int:
-    """How often x - r divides the integer polynomial (synthetic division)."""
-    count = 0
-    while len(coeffs) > 1:
-        carry = 0
-        quot = []
-        for c in reversed(coeffs):
-            carry = carry * r + c
-            quot.append(carry)
-        if quot.pop():
-            break
-        coeffs = quot[::-1]
-        count += 1
-    return count
 
 
 def deletion_multiplicities(
@@ -591,24 +542,17 @@ def deletion_multiplicities(
     in vertices.
 
     With exact entries and a rational or algebraic lambda, all of them come
-    off the one memoised Faddeev-LeVerrier run on d*B: an algebraic lambda
-    divides each deleted charpoly by the primitive minimal polynomial of
-    d*lambda, a rational one by x - d*lambda, which can only be a root of
-    these monic integer polynomials when d*lambda is an integer. That run
-    costs more than one exact rank, so a single deletion is cheaper through
-    multiplicity() on its submatrix. Other inputs take the numeric cluster
-    count of each submatrix.
+    off the one memoised Faddeev-LeVerrier run on d*B: each deleted charpoly
+    is divided by the primitive minimal polynomial of d*lambda (q*x - p*d,
+    reduced, for a rational p/q). That run costs more than one exact rank,
+    so a single deletion is cheaper through multiplicity() on its
+    submatrix. Other inputs take the numeric cluster count of each
+    submatrix.
     """
-    if b.is_exact and isinstance(lam, AlgebraicEigenvalue):
+    if b.is_exact and (isinstance(lam, AlgebraicEigenvalue) or _is_exact_scalar(lam)):
         d, _, deleted = _scaled_tables(b)
-        nu = _scaled_minpoly(lam, d)
+        nu = _scaled_minpoly(_minpoly(lam), d)
         return [multiplicity_via_minpoly(IntPolynomial(deleted[v]), nu) for v in vertices]
-    if b.is_exact and _is_exact_scalar(lam):
-        d, _, deleted = _scaled_tables(b)
-        r = Fraction(lam) * d
-        if r.denominator != 1:
-            return [0] * len(vertices)
-        return [_root_multiplicity(deleted[v], int(r)) for v in vertices]
     return [
         multiplicity(principal_submatrix(b, [u for u in range(b.n) if u != v])[0], lam, tol).multiplicity
         for v in vertices
@@ -671,41 +615,3 @@ def multiplicity(b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8) -> 
             return multiplicity_exact_rational(b, lam)
         return multiplicity_numeric(b, float(lam), tol)
     return multiplicity_numeric(b, lam, tol)
-
-
-# ---------------------------------------------------------------------------
-# Path spectra
-
-
-def path_spectrum_membership(b_p: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8) -> bool:
-    """Is lambda an eigenvalue of a path-patterned matrix?
-
-    Exact matrix + rational lambda: three-term recurrence on the leading
-    principal minors of B - lambda*I, exact. Exact matrix + algebraic
-    lambda: minimal-polynomial divisibility of the charpoly. Floating
-    inputs fall back to the numeric cluster at tol (not certified).
-    """
-    g = b_p.pattern
-    if not is_path_graph(g):
-        raise NotAPath("pattern must be a path")
-    if b_p.is_exact and _is_exact_scalar(lam):
-        lam = Fraction(lam)
-        order = path_order(g)
-        prev2, prev1 = Fraction(1), Fraction(1)
-        for idx, v in enumerate(order):
-            diag = b_p.entries[v][v].re - lam
-            if idx == 0:
-                cur = diag
-            else:
-                u = order[idx - 1]
-                off2 = b_p.entries[v][u].norm2()
-                cur = diag * prev1 - off2 * prev2
-            prev2, prev1 = prev1, cur
-        return prev1 == 0
-    if b_p.is_exact and isinstance(lam, AlgebraicEigenvalue):
-        return multiplicity_exact_algebraic(b_p, lam).multiplicity >= 1
-    try:
-        res = multiplicity_numeric(b_p, eigenvalue_float(lam), tol)
-    except AmbiguousCluster:
-        return True
-    return res.multiplicity >= 1

@@ -163,23 +163,6 @@ def is_tree(g: Graph) -> bool:
     return is_connected(g) and cyclomatic_number(g) == 0
 
 
-def path_order(g: Graph) -> tuple[int, ...]:
-    """Vertex order along a path graph, from one endpoint to the other."""
-    if not is_path_graph(g):
-        raise NotApplicable("graph is not a path")
-    if g.n == 1:
-        return (0,)
-    start = next(v for v in range(g.n) if g.degree(v) == 1)
-    order = [start]
-    prev = -1
-    cur = start
-    while len(order) < g.n:
-        nxt = next(w for w in g.adj[cur] if w != prev)
-        order.append(nxt)
-        prev, cur = cur, nxt
-    return tuple(order)
-
-
 def cycle_order(g: Graph) -> tuple[int, ...]:
     """Vertex order around a cycle graph, starting at vertex 0."""
     if not is_cycle_graph(g):

@@ -53,13 +53,11 @@ from .spectra import (
     AlgebraicEigenvalue,
     EigenvalueLike,
     IntPolynomial,
-    _is_exact_scalar,
     deletion_multiplicities,
     describe_eigenvalue,
     eigenvalue_float,
     min_poly_2cos,
     multiplicity,
-    path_spectrum_membership,
     poly_primitive_int,
 )
 from .structure import (
@@ -124,11 +122,6 @@ class PredicateResult:
 def structural_bound(g: Graph) -> int:
     """2*theta + p, the multiplicity ceiling for connected G on >= 2 vertices."""
     return 2 * cyclomatic_number(g) + len(pendant_vertices(g))
-
-
-def _is_certified(b: HermitianMatrix, lam: EigenvalueLike) -> bool:
-    """Does multiplicity() take an exact method for this input?"""
-    return b.is_exact and (isinstance(lam, AlgebraicEigenvalue) or _is_exact_scalar(lam))
 
 
 def _mult(b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8) -> int:
@@ -204,8 +197,7 @@ def _tree_conditions(
     pieces = []
     all_member = True
     for ids in piece_ids:
-        piece, _ = principal_submatrix(b, ids)
-        member = path_spectrum_membership(piece, lam, tol)
+        member = _sub_mult(b, ids, lam, tol) >= 1
         pieces.append({"vertices": list(ids), "carries_lambda": member})
         all_member = all_member and member
     holds = nonadjacent and all_member
@@ -388,8 +380,7 @@ def _form_d_conditions(
     paths_ok = True
     for ids, kind in shapes:
         if kind == "path":
-            piece, _ = principal_submatrix(b, ids)
-            member = path_spectrum_membership(piece, lam, tol)
+            member = _sub_mult(b, ids, lam, tol) >= 1
             pieces.append({"vertices": list(ids), "kind": kind, "carries_lambda": member})
             paths_ok = paths_ok and member
         elif kind == "single-cycle":
@@ -473,7 +464,7 @@ def cstar_adjacency_predicate(cstar: Graph, lam: EigenvalueLike, tol: float = 1e
     cyc_mult = _mult(adjacency_matrix(cycle_graph(len(cyc))), lam, tol)
     if cyc_mult != 2:
         return False
-    return path_spectrum_membership(adjacency_matrix(path_graph(len(spare))), lam, tol)
+    return _mult(adjacency_matrix(path_graph(len(spare))), lam, tol) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +594,7 @@ def _classify(
         "bound": bound,
         "multiplicity": m,
         "method": method,
-        "certified": _is_certified(b, lam),
+        "certified": method != "NumericCluster",
         "form": form,
         "form_conditions": cond.evidence,
         "form_holds": cond.holds,

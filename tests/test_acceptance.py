@@ -18,10 +18,10 @@ from specmult.hermitian import adjacency_matrix
 from specmult.oracle import CampaignConfig, run_campaign
 from specmult.spectra import (
     AlgebraicEigenvalue,
-    char_poly_exact,
     min_poly_2cos,
     multiplicity,
     multiplicity_via_minpoly,
+    scaled_char_poly,
 )
 
 # labeled connected graphs on 2..7 vertices; deduped trees 2..10; deduped
@@ -95,7 +95,8 @@ def test_criterion_02_cycle_equality():
         t0 = time.perf_counter()
         for n in range(3, 13):
             a = adjacency_matrix(cycle_graph(n))
-            charpoly = char_poly_exact(a)
+            charpoly, d = scaled_char_poly(a)
+            assert d == 1  # adjacency entries are integers: charpoly of A itself
             for k in range(1, (n + 1) // 2):
                 lam = AlgebraicEigenvalue.from_2cos(n, k)
                 res = multiplicity(a, lam)

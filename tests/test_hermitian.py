@@ -73,6 +73,15 @@ def test_from_rows_validates_hermitian():
         )
     with pytest.raises(DimensionMismatch):
         HermitianMatrix.from_rows([[ExactComplex(0), ExactComplex(1)]])
+    # floating input is held to the same checks at tolerance 1e-12
+    with pytest.raises(PatternMismatch):
+        HermitianMatrix.from_rows([[1j]])
+    with pytest.raises(PatternMismatch):
+        HermitianMatrix.from_rows([[0.0, 1 + 1j], [1 + 1j, 0.0]])
+    with pytest.raises(PatternMismatch):
+        HermitianMatrix.from_rows([[0.0, 1.0], [1.0 + 1e-9, 0.0]])
+    near = HermitianMatrix.from_rows([[1e-13j, 1.0], [1.0 + 1e-13, 0.0]])
+    assert not near.is_exact and near.pattern.edges == ((0, 1),)
 
 
 def test_from_rows_infers_pattern_and_scalar():

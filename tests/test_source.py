@@ -48,6 +48,27 @@ def test_every_private_module_function_is_used():
     assert [d for d in defined if d[1] not in referenced] == []
 
 
+def test_every_public_module_function_is_used_or_exported():
+    """A public module-level function that no module of the package uses
+    and the package's __init__ does not export is reachable from the tests
+    alone: dead code with a public name."""
+    defined = []
+    referenced: set[str] = set()
+    exported: set[str] = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        if path.name == "__init__.py":
+            exported |= _referenced_names(tree)
+            continue
+        for node in tree.body:
+            names = _referenced_names(node)
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                names.discard(node.name)  # self-recursion is not a use
+                defined.append((path.name, node.name))
+            referenced |= names
+    assert [d for d in defined if d[1] not in referenced | exported] == []
+
+
 def _imported_names(tree: ast.Module) -> list[str]:
     names = []
     for node in ast.walk(tree):

@@ -22,7 +22,6 @@ from specmult.spectra import (
     AlgebraicEigenvalue,
     IntPolynomial,
     _is_exact_scalar,
-    char_poly_exact,
     cyclotomic,
     describe_eigenvalue,
     eigenvalues_numeric,
@@ -33,7 +32,6 @@ from specmult.spectra import (
     multiplicity_exact_rational,
     multiplicity_numeric,
     multiplicity_via_minpoly,
-    path_spectrum_membership,
     poly_divmod,
     poly_primitive_int,
     scale_minpoly,
@@ -144,6 +142,9 @@ def test_scaled_char_poly_against_sympy():
         ref_coeffs = tuple(reversed([int(sympy.nsimplify(c)) for c in ref.all_coeffs()]))
         assert p.coeffs == ref_coeffs
         assert p.is_monic
+    # integer entries need no clearing: det(xI - A(C_4)) = x^4 - 4x^2
+    c4 = adjacency_matrix(cycle_graph(4))
+    assert scaled_char_poly(c4) == (IntPolynomial((0, 0, -4, 0, 1)), 1)
 
 
 def _deletion_test_matrices():
@@ -174,9 +175,12 @@ def test_adjugate_diagonal_gives_vertex_deleted_charpolys():
         assert charpoly == scaled_char_poly(b)[0]
         assert len(deleted) == b.n
         for v in range(b.n):
-            # det(xI - d*B_v) = d^(n-1) det((x/d)I - B_v), coefficientwise
+            # det(xI - d*B_v) = d^(n-1) det((x/d)I - B_v), coefficientwise,
+            # against the charpoly of the submatrix cleared by its own d_v
             unscaled = [Fraction(c, d ** (b.n - 1 - j)) for j, c in enumerate(deleted[v])]
-            assert tuple(unscaled) == tuple(char_poly_exact(_delete(b, v)).coeffs), (b.n, v)
+            sub, d_v = scaled_char_poly(_delete(b, v))
+            want = [Fraction(c, d_v ** (b.n - 1 - j)) for j, c in enumerate(sub.coeffs)]
+            assert unscaled == want, (b.n, v)
 
 
 def test_deletion_multiplicities_match_each_submatrix():
@@ -184,12 +188,18 @@ def test_deletion_multiplicities_match_each_submatrix():
     for b in _deletion_test_matrices():
         lams = {Fraction(1, 3), Fraction(0)}
         for v in range(b.n):
-            for f, _ in irreducible_factors(char_poly_exact(_delete(b, v))):
-                if f.degree == 1:
-                    lams.add(Fraction(-f.coeffs[0], f.coeffs[1]))
+            # a root r of a factor of the charpoly of d_v*B_v is the
+            # eigenvalue r/d_v, whose minimal polynomial is f(d_v*x)
+            sub, d_v = scaled_char_poly(_delete(b, v))
+            for f, _ in irreducible_factors(sub):
+                unscaled = [c * d_v**j for j, c in enumerate(f.coeffs)]
+                mu = IntPolynomial(poly_primitive_int(unscaled))
+                if mu.degree == 1:
+                    lams.add(Fraction(-mu.coeffs[0], mu.coeffs[1]))
                 else:
-                    root = max(r for r in np.roots(list(reversed(f.coeffs))) if abs(r.imag) < 1e-9)
-                    lams.add(AlgebraicEigenvalue(f, float(root.real)))
+                    roots = np.roots(list(reversed(mu.coeffs)))
+                    root = max(r for r in roots if abs(r.imag) < 1e-9)
+                    lams.add(AlgebraicEigenvalue(mu, float(root.real)))
         for lam in lams:
             got = spectra_mod.deletion_multiplicities(b, lam, range(b.n))
             want = [multiplicity(_delete(b, v), lam).multiplicity for v in range(b.n)]
@@ -203,13 +213,6 @@ def test_deletion_multiplicities_match_each_submatrix():
     approx = HermitianMatrix.from_rows([[float(e.re) for e in row] for row in c6.entries])
     assert spectra_mod.deletion_multiplicities(approx, 1.0, [0, 3]) == [1, 1]
     assert spectra_mod.deletion_multiplicities(c6, 2.0, [5]) == [0]
-
-
-def test_char_poly_exact_rational_case():
-    b = adjacency_matrix(cycle_graph(4))
-    p = char_poly_exact(b)
-    # x^4 - 4x^2
-    assert tuple(p.coeffs) == (0, 0, -4, 0, 1)
 
 
 def _gauss_rational(rng, num: int, den: int) -> ExactComplex:
@@ -512,18 +515,17 @@ def test_multiplicity_dispatcher_routes():
     assert multiplicity(b, 0.25).method == "NumericCluster"
     approx = adjacency_matrix(cycle_graph(5), scalar="approx")
     assert multiplicity(approx, Fraction(2)).method == "NumericCluster"
-
-
-def test_path_spectrum_membership():
-    p3 = adjacency_matrix(path_graph(3))  # eigenvalues -sqrt2, 0, sqrt2
-    assert path_spectrum_membership(p3, Fraction(0))
-    assert not path_spectrum_membership(p3, Fraction(1))
-    lam = AlgebraicEigenvalue(IntPolynomial((-2, 0, 1)), math.sqrt(2))
-    assert path_spectrum_membership(p3, lam)
+    # a path piece carries lambda when its multiplicity is at least 1, on
+    # every route: P_3 has eigenvalues -sqrt2, 0, sqrt2
+    p3 = adjacency_matrix(path_graph(3))
+    assert multiplicity(p3, Fraction(0)).multiplicity == 1
+    assert multiplicity(p3, Fraction(1)).multiplicity == 0
+    sqrt2 = AlgebraicEigenvalue(IntPolynomial((-2, 0, 1)), math.sqrt(2))
+    assert multiplicity(p3, sqrt2).multiplicity == 1
     b = random_in_S(path_graph(4), seed=77)
-    spec = eigenvalues_numeric(b)
-    for v in spec.values:
-        assert path_spectrum_membership(b, float(v), tol=1e-7)
+    for v in eigenvalues_numeric(b).values:
+        res = multiplicity(b, float(v), tol=1e-7)
+        assert res.multiplicity == 1 and res.method == "NumericCluster"
 
 
 def test_describe_eigenvalue_shapes():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from specmult.errors import (
+    AmbiguousCluster,
     NotApplicable,
     NotATree,
     NotConnected,
@@ -120,6 +121,27 @@ def test_tree_predicate_star():
     assert all(piece["carries_lambda"] for piece in good.evidence["pieces"])
     bad = tree_equality_predicate(s3, a, Fraction(5))
     assert not bad.holds and bad.evidence["majors_nonadjacent"]
+
+
+def test_approx_piece_with_an_ambiguous_cluster_raises():
+    """A floating piece whose only eigenvalue lies between tol and 2*tol of
+    lambda neither carries lambda nor fails to: the classifier raises
+    instead of guessing. Leaf 1's diagonal 1.5e-8 is that piece; the whole
+    matrix keeps its eigenvalues well away from 0."""
+    s3 = star_graph(3)
+    rows = [
+        [0.0, 1.0, 1.0, 1.0],
+        [1.0, 1.5e-8, 0.0, 0.0],
+        [1.0, 0.0, 5.0, 0.0],
+        [1.0, 0.0, 0.0, 7.0],
+    ]
+    b = HermitianMatrix.from_rows(rows, pattern=s3)
+    assert not b.is_exact
+    assert multiplicity(b, 0.0).multiplicity == 0
+    with pytest.raises(AmbiguousCluster):
+        conclusion_classifier(s3, b, 0.0)
+    with pytest.raises(AmbiguousCluster):
+        tree_equality_predicate(s3, b, 0.0)
 
 
 def test_tree_predicate_adjacent_majors_fail():
