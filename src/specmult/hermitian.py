@@ -17,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -142,6 +143,18 @@ EC_ZERO = ExactComplex(0, 0)
 EC_ONE = ExactComplex(1, 0)
 
 Scalar = Union[ExactComplex, complex]
+IntTable = tuple[tuple[int, ...], ...]
+
+
+def _clear_denominators(rows: Sequence[Sequence[ExactComplex]]) -> tuple[int, IntTable, IntTable]:
+    """The lcm d of all entry denominators, with the real and imaginary
+    parts of d*rows as int tables."""
+    re_parts = [[e.re.as_integer_ratio() for e in row] for row in rows]
+    im_parts = [[e.im.as_integer_ratio() for e in row] for row in rows]
+    d = math.lcm(*{q for parts in (re_parts, im_parts) for row in parts for _, q in row})
+    re = tuple(tuple(p * (d // q) for p, q in row) for row in re_parts)
+    im = tuple(tuple(p * (d // q) for p, q in row) for row in im_parts)
+    return d, re, im
 
 
 def _is_finite_complex(z: complex) -> bool:
@@ -164,6 +177,17 @@ class HermitianMatrix:
     @property
     def is_exact(self) -> bool:
         return self.scalar == "exact"
+
+    @cached_property
+    def cleared(self) -> tuple[int, IntTable, IntTable]:
+        """(d, re, im): the lcm d of the entries' denominators, with the real
+        and imaginary parts of d*B as int tables. Worked out on first use and
+        kept, as tuples, so that every exact question about B or about one
+        of its principal submatrices shares one clearing that no caller can
+        alter; d clears every principal submatrix as well."""
+        if not self.is_exact:
+            raise ParameterOutOfRange("cleared tables need exact entries")
+        return _clear_denominators(self.entries)
 
     def to_numpy(self):
         import numpy as np

@@ -765,15 +765,22 @@ def _form_d_gate(g: Graph) -> bool:
 
 
 def _check_classifier(
-    rec: _Recorder, key: str, g: Graph, a: HermitianMatrix, lam, mult: int, inst: dict
+    rec: _Recorder, key: str, g: Graph, a: HermitianMatrix, lam, mult: int, **extra
 ) -> None:
     """Classify lambda at its known multiplicity; record that the verdict is
-    free of violations and one-deficient exactly when mult = bound - 1."""
+    free of violations and one-deficient exactly when mult = bound - 1.
+
+    Only a failed check reads the instance record, so
+    _graph_instance(g, lam, multiplicity=mult, **extra) is built only then.
+    """
     out = _classify(g, a, lam, rec.cfg.tol, mult, "precomputed")
     target = out.evidence["bound"] - 1
+    consistent = out.evidence["consistent"]
+    iff = out.verdict.startswith("OneDeficient") == (mult == target)
+    inst = {} if consistent and iff else _graph_instance(g, lam, multiplicity=mult, **extra)
     rec.check(
         "classifier-consistency",
-        out.evidence["consistent"],
+        consistent,
         key,
         inst,
         "no violations",
@@ -781,7 +788,7 @@ def _check_classifier(
     )
     rec.check(
         "one-deficient-iff",
-        out.verdict.startswith("OneDeficient") == (mult == target),
+        iff,
         key,
         inst,
         f"verdict {out.verdict}",
@@ -916,7 +923,7 @@ def _campaign_trees(cfg: CampaignConfig, rec: _Recorder) -> None:
                         f"conditions {bool(pred)}",
                         f"multiplicity {mult} vs target {p - 1}",
                     )
-                _check_classifier(rec, key, t, a, lam, mult, inst)
+                _check_classifier(rec, key, t, a, lam, mult, pendants=p)
 
 
 def _campaign_unicyclic(cfg: CampaignConfig, rec: _Recorder) -> None:
@@ -933,7 +940,7 @@ def _campaign_unicyclic(cfg: CampaignConfig, rec: _Recorder) -> None:
                 inst = _graph_instance(g, c.lam, multiplicity=c.multiplicity, bound=bound)
                 rep = _bound_report(g, a, c.lam, cfg.tol)
                 rec.check("upper-bound", rep.holds, key, inst, rep.rhs, rep.lhs)
-                _check_classifier(rec, key, g, a, c.lam, c.multiplicity, inst)
+                _check_classifier(rec, key, g, a, c.lam, c.multiplicity, bound=bound)
                 if p >= 2:
                     pred = _form_d_conditions(g, a, c.lam, cfg.tol)
                     rec.check(
@@ -996,7 +1003,7 @@ def _campaign_theta_infty(cfg: CampaignConfig, rec: _Recorder) -> None:
             inst = _graph_instance(g, c.lam, multiplicity=c.multiplicity, kind=kind)
             rep = _bound_report(g, a, c.lam, cfg.tol)
             rec.check("upper-bound", rep.holds, key, inst, rep.rhs, rep.lhs)
-            _check_classifier(rec, key, g, a, c.lam, c.multiplicity, inst)
+            _check_classifier(rec, key, g, a, c.lam, c.multiplicity, kind=kind)
             if c.multiplicity == bound - 1:
                 probe = RelationProbe("theta-infty", tol=cfg.tol)
                 try:
@@ -1331,8 +1338,7 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
                     if not (need_all or mult == bound - 1):
                         continue
                     for lam in roots:
-                        inst = _graph_instance(g_obj, lam, multiplicity=mult, bound=bound)
-                        _check_classifier(rec, key, g_obj, a, lam, mult, inst)
+                        _check_classifier(rec, key, g_obj, a, lam, mult, bound=bound)
 
 
 # campaign -> (body, default cap, ceiling); fixtures and guvh take no cap

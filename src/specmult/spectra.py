@@ -1,21 +1,28 @@
 """Eigenvalue multiplicity machinery.
 
 One dispatcher, multiplicity(), answers "how often is lambda an eigenvalue
-of this matrix?" for every caller, principal submatrices included; a piece
-"carries lambda" when its multiplicity is at least 1.
+of this matrix?"; one submatrix route, submatrix_multiplicity(), answers
+it for a principal submatrix, and a piece "carries lambda" when that
+multiplicity is at least 1.
 
-Exact route: the multiplicity of a rational eigenvalue lambda = p/q is
-n - rank(B - lambda*I), computed in integers throughout. B is cleared once
-to Gaussian integer tables d*B, the shift is made in Z as
-q*(d*B) - p*d*I, and one fraction-free Bareiss kernel takes the rank; it
-computes no entry whose operands are both 0. Algebraic eigenvalues,
-described by their minimal polynomial, go through the one integer
-characteristic polynomial route, Faddeev-LeVerrier on d*B
-(scaled_char_poly), and division by the minimal polynomial of d*lambda.
+Exact route: an exact HermitianMatrix clears its denominators once, on
+first use, to Gaussian integer tables d*B (HermitianMatrix.cleared), and
+every exact question about B or its principal submatrices reads them; the
+slice of d*B on a vertex set is d times the submatrix, so no submatrix is
+built. The multiplicity of a rational eigenvalue lambda = p/q is
+n - rank(B - lambda*I), computed in integers throughout: the shift is made
+in Z as q*(d*B) - p*d*I, and one fraction-free Bareiss kernel takes the
+rank; it computes no entry whose operands are both 0. Algebraic
+eigenvalues, described by their minimal polynomial, go through the one
+integer characteristic polynomial route, Faddeev-LeVerrier on d*B (or on
+the slice), and division by the minimal polynomial of d*lambda.
 deletion_multiplicities reads the charpolys of every B - v off the same
 run and divides them the same way, a rational p/q taking the minimal
-polynomial q*x - p. hermitian.validate_pattern checks exact matrices on
-integer ratios as well.
+polynomial q*x - p. Two memos hold pure functions of integer tuples: the
+charpoly (with the vertex-deleted charpolys) of a cleared table, and the
+division count of a charpoly by a minimal polynomial, which the conjugate
+roots of one irreducible factor share. hermitian.validate_pattern checks
+exact matrices on integer ratios as well.
 
 Numeric route: Hermitian eigendecomposition with a residual bound of
 10 * n * eps * ||B||  (c = 10; ||B|| is the spectral norm read off the
@@ -34,8 +41,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
 
-from .errors import AmbiguousCluster, ConvergenceFailure, ParameterOutOfRange
-from .hermitian import ExactComplex, HermitianMatrix, principal_submatrix
+from .errors import AmbiguousCluster, ConvergenceFailure, IndexOutOfRange, ParameterOutOfRange
+from .hermitian import HermitianMatrix, IntTable, _clear_denominators, principal_submatrix
 
 # ---------------------------------------------------------------------------
 # Polynomials (coefficient tuples, lowest degree first)
@@ -258,10 +265,18 @@ def multiplicity_via_minpoly(p: IntPolynomial, mu: IntPolynomial) -> int:
     """
     if mu.degree < 1:
         raise ParameterOutOfRange("divisor must be nonconstant")
-    rem = tuple(p.coeffs)
+    return _division_count(p.coeffs, mu.coeffs)
+
+
+@lru_cache(maxsize=4096)
+def _division_count(p: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    # a pure function of two integer tuples; the conjugate roots of one
+    # irreducible factor share their minimal polynomial, so they share one
+    # division chain, and so do the many graphs with equal charpolys
+    rem = p
     count = 0
     while len(rem) > 1:
-        q, r = poly_divmod(rem, mu.coeffs)
+        q, r = poly_divmod(rem, mu)
         if r:
             break
         rem = q
@@ -271,19 +286,6 @@ def multiplicity_via_minpoly(p: IntPolynomial, mu: IntPolynomial) -> int:
 
 # ---------------------------------------------------------------------------
 # Exact characteristic polynomial (Faddeev-LeVerrier over Gaussian integers)
-
-
-def _clear_denominators(
-    rows: Sequence[Sequence[ExactComplex]],
-) -> tuple[int, list[list[int]], list[list[int]]]:
-    """The lcm d of all entry denominators, with the real and imaginary
-    parts of d*rows as int tables."""
-    re_parts = [[e.re.as_integer_ratio() for e in row] for row in rows]
-    im_parts = [[e.im.as_integer_ratio() for e in row] for row in rows]
-    d = math.lcm(*{q for parts in (re_parts, im_parts) for row in parts for _, q in row})
-    re = [[p * (d // q) for p, q in row] for row in re_parts]
-    im = [[p * (d // q) for p, q in row] for row in im_parts]
-    return d, re, im
 
 
 def _faddeev_leverrier(
@@ -344,12 +346,12 @@ def scaled_char_poly(b: HermitianMatrix) -> tuple[IntPolynomial, int]:
     """
     if not b.is_exact:
         raise ParameterOutOfRange("exact characteristic polynomial needs exact entries")
-    d, cre, cim = _clear_denominators(b.entries)
+    d, cre, cim = b.cleared
     return _faddeev_leverrier(cre, cim)[0], d
 
 
 @lru_cache(maxsize=4096)
-def _char_poly_of_tables(cre: tuple, cim: tuple) -> tuple[IntPolynomial, tuple]:
+def _char_poly_of_tables(cre: IntTable, cim: IntTable) -> tuple[IntPolynomial, tuple]:
     # exhaustive sweeps hit the same small principal submatrices constantly;
     # keyed on the cleared int tables (the charpolys of d*B and of its
     # vertex deletions depend on nothing else), which hash without touching
@@ -359,8 +361,8 @@ def _char_poly_of_tables(cre: tuple, cim: tuple) -> tuple[IntPolynomial, tuple]:
 
 def _scaled_tables(b: HermitianMatrix) -> tuple[int, IntPolynomial, tuple]:
     """d with the memoised charpoly and vertex-deleted charpolys of d*B."""
-    d, cre, cim = _clear_denominators(b.entries)
-    return (d,) + _char_poly_of_tables(tuple(map(tuple, cre)), tuple(map(tuple, cim)))
+    d, cre, cim = b.cleared
+    return (d,) + _char_poly_of_tables(cre, cim)
 
 
 # ---------------------------------------------------------------------------
@@ -500,15 +502,26 @@ def multiplicity_exact_rational(b: HermitianMatrix, lam) -> MultiplicityResult:
     if not b.is_exact:
         raise ParameterOutOfRange("exact multiplicity needs exact entries")
     lam = Fraction(lam)
-    p, q = lam.as_integer_ratio()
-    d, re, im = _clear_denominators(b.entries)
-    if q != 1:
-        re = [[q * x for x in row] for row in re]
-        im = [[q * x for x in row] for row in im]
+    rank = exact_rank(*_shifted(b.cleared, range(b.n), *lam.as_integer_ratio()))
+    return MultiplicityResult(lam, b.n - rank, "ExactRank", 0.0)
+
+
+def _shifted(
+    cleared: tuple[int, IntTable, IntTable], keep: Sequence[int], p: int, q: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Real and imaginary int tables of q*(d*B) - p*d*I on the rows and
+    columns in keep, from B's cleared tables (d, re, im). That is q*d times
+    B[keep] - lambda*I for lambda = p/q, so it has the same rank."""
+    d, re, im = cleared
     shift = p * d
-    for i, row in enumerate(re):
-        row[i] -= shift
-    return MultiplicityResult(lam, b.n - exact_rank(re, im), "ExactRank", 0.0)
+    out_re, out_im = [], []
+    for a, i in enumerate(keep):
+        row_re, row_im = re[i], im[i]
+        row = [q * row_re[j] for j in keep]
+        row[a] -= shift
+        out_re.append(row)
+        out_im.append([q * row_im[j] for j in keep])
+    return out_re, out_im
 
 
 def multiplicity_exact_algebraic(b: HermitianMatrix, lam: AlgebraicEigenvalue) -> MultiplicityResult:
@@ -554,9 +567,38 @@ def deletion_multiplicities(
         nu = _scaled_minpoly(_minpoly(lam), d)
         return [multiplicity_via_minpoly(IntPolynomial(deleted[v]), nu) for v in vertices]
     return [
-        multiplicity(principal_submatrix(b, [u for u in range(b.n) if u != v])[0], lam, tol).multiplicity
-        for v in vertices
+        submatrix_multiplicity(b, [u for u in range(b.n) if u != v], lam, tol) for v in vertices
     ]
+
+
+def submatrix_multiplicity(
+    b: HermitianMatrix, keep: Sequence[int], lam: EigenvalueLike, tol: float = 1e-8
+) -> int:
+    """Multiplicity of lambda in the principal submatrix of B on the
+    vertices in keep (as principal_submatrix takes them: sorted, repeats
+    dropped).
+
+    With exact entries and an exact lambda no submatrix is built: the slice
+    of B's cleared tables is d times the submatrix, d being B's own
+    denominator. A rational p/q takes the shifted Bareiss rank of
+    multiplicity_exact_rational; an algebraic lambda the memoised charpoly
+    of the slice, divided by the minimal polynomial of d*lambda. Other
+    inputs count the eigenvalues of the submatrix numerically.
+    """
+    ids = sorted(set(keep))
+    if ids and not (0 <= ids[0] and ids[-1] < b.n):
+        raise IndexOutOfRange(f"vertices {ids} outside range 0..{b.n - 1}")
+    if b.is_exact:
+        if _is_exact_scalar(lam):
+            return len(ids) - exact_rank(*_shifted(b.cleared, ids, *lam.as_integer_ratio()))
+        if isinstance(lam, AlgebraicEigenvalue):
+            d, re, im = b.cleared
+            charpoly, _ = _char_poly_of_tables(
+                tuple(tuple(re[i][j] for j in ids) for i in ids),
+                tuple(tuple(im[i][j] for j in ids) for i in ids),
+            )
+            return multiplicity_via_minpoly(charpoly, _scaled_minpoly(lam.minpoly, d))
+    return multiplicity(principal_submatrix(b, ids)[0], lam, tol).multiplicity
 
 
 def eigenvalues_numeric(b: HermitianMatrix) -> SpectrumNumeric:

@@ -46,7 +46,6 @@ from .hermitian import (
     a_alpha_gain,
     adjacency_matrix,
     cycle_gain,
-    principal_submatrix,
     validate_pattern,
 )
 from .spectra import (
@@ -59,6 +58,7 @@ from .spectra import (
     min_poly_2cos,
     multiplicity,
     poly_primitive_int,
+    submatrix_multiplicity,
 )
 from .structure import (
     FamilyTag,
@@ -128,11 +128,6 @@ def _mult(b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8) -> int:
     return multiplicity(b, lam, tol).multiplicity
 
 
-def _sub_mult(b: HermitianMatrix, keep: Sequence[int], lam: EigenvalueLike, tol: float = 1e-8) -> int:
-    sub, _ = principal_submatrix(b, keep)
-    return _mult(sub, lam, tol)
-
-
 def _instance_stub(g: Graph, lam) -> dict:
     return {
         "n": g.n,
@@ -197,7 +192,7 @@ def _tree_conditions(
     pieces = []
     all_member = True
     for ids in piece_ids:
-        member = _sub_mult(b, ids, lam, tol) >= 1
+        member = submatrix_multiplicity(b, ids, lam, tol) >= 1
         pieces.append({"vertices": list(ids), "carries_lambda": member})
         all_member = all_member and member
     holds = nonadjacent and all_member
@@ -380,11 +375,11 @@ def _form_d_conditions(
     paths_ok = True
     for ids, kind in shapes:
         if kind == "path":
-            member = _sub_mult(b, ids, lam, tol) >= 1
+            member = submatrix_multiplicity(b, ids, lam, tol) >= 1
             pieces.append({"vertices": list(ids), "kind": kind, "carries_lambda": member})
             paths_ok = paths_ok and member
         elif kind == "single-cycle":
-            mu = _sub_mult(b, ids, lam, tol)
+            mu = submatrix_multiplicity(b, ids, lam, tol)
             pieces.append({"vertices": list(ids), "kind": kind, "multiplicity": mu})
             u_mult_ok = u_mult_ok and mu == 2
         else:
@@ -507,10 +502,10 @@ def weighted_counterexample_check() -> CheckReport:
     b2 = fixture_tadpole_matrix()
     got = (
         _mult(b1, 2),
-        _sub_mult(b1, (0, 1, 2), 2),
+        submatrix_multiplicity(b1, (0, 1, 2), 2),
         _mult(b2, -9),
-        _sub_mult(b2, (0, 1, 2), -9),
-        _sub_mult(b2, (4, 5), -9),
+        submatrix_multiplicity(b2, (0, 1, 2), -9),
+        submatrix_multiplicity(b2, (4, 5), -9),
     )
     expected = (2, 1, 2, 1, 0)
     return CheckReport(
@@ -663,7 +658,7 @@ def lemma_relation_checks(
             raise SideConditionUnmet("needs a valid vertex witness")
         m = _mult(b, lam, tol)
         keep = [v for v in range(g.n) if v != probe.vertex]
-        md = _sub_mult(b, keep, lam, tol)
+        md = submatrix_multiplicity(b, keep, lam, tol)
         inst["vertex"] = probe.vertex
         return CheckReport(rel, md - 1 <= m <= md + 1, m, md, inst)
     if rel == "interlace-e":
@@ -698,15 +693,14 @@ def lemma_relation_checks(
             induced_subgraph(g, right).child
         ):
             raise SideConditionUnmet("both sides of the join must be connected")
-        b_left, _ = principal_submatrix(b, left)
-        if _mult(b_left, lam, tol) < 1:
+        if submatrix_multiplicity(b, left, lam, tol) < 1:
             raise SideConditionUnmet("lambda must be an eigenvalue of the left part")
         left_minus_u = [w for w in left if w != u]
-        if left_minus_u and _sub_mult(b, left_minus_u, lam, tol) >= 1:
+        if left_minus_u and submatrix_multiplicity(b, left_minus_u, lam, tol) >= 1:
             raise SideConditionUnmet("lambda must avoid the left part minus the join vertex")
         m = _mult(b, lam, tol)
         right_minus_v = [w for w in range(g.n) if w not in left_set and w != v]
-        mh = _sub_mult(b, right_minus_v, lam, tol) if right_minus_v else 0
+        mh = submatrix_multiplicity(b, right_minus_v, lam, tol) if right_minus_v else 0
         inst["left_part"] = list(left)
         inst["join"] = [u, v]
         return CheckReport(rel, m == mh, m, mh, inst)
@@ -727,7 +721,7 @@ def lemma_relation_checks(
             raise SideConditionUnmet("path must avoid all cycle vertices")
         m = _mult(b, lam, tol)
         keep = [v for v in range(g.n) if v not in set(path)]
-        md = _sub_mult(b, keep, lam, tol) if keep else 0
+        md = submatrix_multiplicity(b, keep, lam, tol) if keep else 0
         inst["path"] = list(path)
         return CheckReport(rel, md >= m - 1, m, md, inst)
     if rel == "pendant-cycle":
@@ -746,10 +740,9 @@ def lemma_relation_checks(
         if m != structural_bound(g) - 1:
             raise SideConditionUnmet("graph must be exactly one below the bound")
         keep = [v for v in range(g.n) if v != x]
-        sub, submap = principal_submatrix(b, keep)
-        md = _mult(sub, lam, tol)
+        md = submatrix_multiplicity(b, keep, lam, tol)
         drop_ok = m == md + 1
-        still_deficient = md == structural_bound(sub.pattern) - 1
+        still_deficient = md == structural_bound(induced_subgraph(b.pattern, keep).child) - 1
         inst["vertex"] = x
         inst["still_one_deficient"] = still_deficient
         return CheckReport(rel, drop_ok and still_deficient, m, md, inst)

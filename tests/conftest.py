@@ -18,10 +18,11 @@ def record_criterion(line: str) -> None:
 def cold_spectral_memos():
     """A memo warmed by an earlier test would bypass the helpers a test
     monkeypatches (_real_roots, irreducible_factors, the structure
-    functions) and make its result depend on test order."""
+    functions, poly_divmod) and make its result depend on test order."""
     oracle._cached_profile.cache_clear()
     oracle._spectral_factors.cache_clear()
     spectra._char_poly_of_tables.cache_clear()
+    spectra._division_count.cache_clear()
     theorems._structure.cache_clear()
 
 

@@ -638,6 +638,48 @@ def test_inconsistent_classifier_records_are_unchanged(monkeypatch):
         assert _json_sha1(records) == digest, campaign
 
 
+def test_connected_sweep_builds_the_classifier_instance_only_on_failure(monkeypatch):
+    """A passing classifier check builds no instance record; a failing one
+    records exactly the instance the sweep used to build for every call."""
+    built = []
+    real_instance = oracle_mod._graph_instance
+
+    def counting_instance(*args, **kwargs):
+        built.append(args)
+        return real_instance(*args, **kwargs)
+
+    monkeypatch.setattr(oracle_mod, "_graph_instance", counting_instance)
+    key = "conn:n5:m15"  # the star K_1,4: classified at every eigenvalue
+    summary, discrepancies = _run("connected", cap=5, only=key)
+    assert summary["checks"] > 2 and discrepancies == [] and built == []
+
+    real = oracle_mod._classify
+    calls = []
+
+    def inconsistent(g, b, lam, tol, m, method):
+        calls.append((g, lam, m))
+        out = real(g, b, lam, tol, m, method)
+        evidence = dict(out.evidence, consistent=False, violations=["injected"])
+        return dataclasses.replace(out, evidence=evidence)
+
+    monkeypatch.setattr(oracle_mod, "_classify", inconsistent)
+    _, discrepancies = _run("connected", cap=5, only=key)
+    assert len(calls) == 3 and len(discrepancies) == 3  # lambdas 0, +-2
+    g = calls[0][0]
+    want = [
+        oracle_mod.Discrepancy(
+            "classifier-consistency",
+            key,
+            real_instance(g, lam, multiplicity=m, bound=oracle_mod.structural_bound(g)),
+            "no violations",
+            "['injected']",
+            f"specmult verify --campaign connected --cap 5 --seeds 16 --only {key}",
+        )
+        for _, lam, m in calls
+    ]
+    assert discrepancies == want
+
+
 def test_guvh_builder_meets_side_conditions():
     for seed in range(5):
         g, b, lam, probe = _build_guvh_instance(random.Random(seed))

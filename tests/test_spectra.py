@@ -36,6 +36,7 @@ from specmult.spectra import (
     poly_primitive_int,
     scale_minpoly,
     scaled_char_poly,
+    submatrix_multiplicity,
 )
 
 X = sympy.symbols("x")
@@ -183,27 +184,37 @@ def test_adjugate_diagonal_gives_vertex_deleted_charpolys():
             assert unscaled == want, (b.n, v)
 
 
+def _eigenvalues_of(b: HermitianMatrix) -> list:
+    """Every eigenvalue of the exact matrix b, one per root of each
+    irreducible factor: a Fraction, or an AlgebraicEigenvalue for each
+    conjugate root of a factor of degree 2 or more."""
+    charpoly, d = scaled_char_poly(b)
+    out = []
+    for f, _ in irreducible_factors(charpoly):
+        # a root r of f is the eigenvalue r/d, whose minimal polynomial is f(d*x)
+        mu = IntPolynomial(poly_primitive_int([c * d**j for j, c in enumerate(f.coeffs)]))
+        if mu.degree == 1:
+            out.append(Fraction(-mu.coeffs[0], mu.coeffs[1]))
+        else:
+            roots = np.roots(list(reversed(mu.coeffs)))
+            assert len(roots) == mu.degree
+            out += [AlgebraicEigenvalue(mu, float(r.real)) for r in roots]
+    return out
+
+
 def test_deletion_multiplicities_match_each_submatrix():
     checked = positive = 0
     for b in _deletion_test_matrices():
         lams = {Fraction(1, 3), Fraction(0)}
         for v in range(b.n):
-            # a root r of a factor of the charpoly of d_v*B_v is the
-            # eigenvalue r/d_v, whose minimal polynomial is f(d_v*x)
-            sub, d_v = scaled_char_poly(_delete(b, v))
-            for f, _ in irreducible_factors(sub):
-                unscaled = [c * d_v**j for j, c in enumerate(f.coeffs)]
-                mu = IntPolynomial(poly_primitive_int(unscaled))
-                if mu.degree == 1:
-                    lams.add(Fraction(-mu.coeffs[0], mu.coeffs[1]))
-                else:
-                    roots = np.roots(list(reversed(mu.coeffs)))
-                    root = max(r for r in roots if abs(r.imag) < 1e-9)
-                    lams.add(AlgebraicEigenvalue(mu, float(root.real)))
+            lams.update(_eigenvalues_of(_delete(b, v)))
         for lam in lams:
             got = spectra_mod.deletion_multiplicities(b, lam, range(b.n))
             want = [multiplicity(_delete(b, v), lam).multiplicity for v in range(b.n)]
             assert got == want, (b.n, lam)
+            # and against the per-vertex submatrix route, on B's own tables
+            minus = [[u for u in range(b.n) if u != v] for v in range(b.n)]
+            assert got == [submatrix_multiplicity(b, keep, lam) for keep in minus], (b.n, lam)
             checked += 1
             positive += any(want)
     assert checked > 100 and positive > 50
@@ -213,6 +224,47 @@ def test_deletion_multiplicities_match_each_submatrix():
     approx = HermitianMatrix.from_rows([[float(e.re) for e in row] for row in c6.entries])
     assert spectra_mod.deletion_multiplicities(approx, 1.0, [0, 3]) == [1, 1]
     assert spectra_mod.deletion_multiplicities(c6, 2.0, [5]) == [0]
+
+
+def test_submatrix_route_matches_each_principal_submatrix():
+    """submatrix_multiplicity slices B's cleared tables; it agrees with
+    multiplicity() on the principal submatrix built and cleared on its own:
+    at every eigenvalue of the piece (each conjugate root of a factor), at
+    rational probes and at an algebraic non-eigenvalue, on pieces whose own
+    denominator differs from B's; and numerically on approx matrices and
+    float lambdas."""
+    rng = random.Random(29)
+    other_d = exact_hits = conjugates = numeric_hits = 0
+    for _ in range(24):
+        n = rng.randint(3, 7)
+        b = random_in_S(_connected_pattern(rng, n), rng.randrange(1 << 30))
+        approx = HermitianMatrix.from_rows(
+            [[e.to_complex() for e in row] for row in b.entries], pattern=b.pattern
+        )
+        for _ in range(3):
+            keep = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+            sub = principal_submatrix(b, keep)[0]
+            other_d += sub.cleared[0] != b.cleared[0]
+            lams = _eigenvalues_of(sub) + [
+                Fraction(0),
+                Fraction(1, 3),
+                b.entries[keep[-1]][keep[-1]].re,
+                AlgebraicEigenvalue.from_2cos(5, 1),
+            ]
+            for lam in lams:
+                got = submatrix_multiplicity(b, keep, lam)
+                assert got == multiplicity(sub, lam).multiplicity, (b.entries, keep, lam)
+                exact_hits += got > 0
+                conjugates += got > 0 and isinstance(lam, AlgebraicEigenvalue)
+            approx_sub = principal_submatrix(approx, keep)[0]
+            for lam in eigenvalues_numeric(approx_sub).values + (1e3,):
+                want = multiplicity(approx_sub, lam).multiplicity
+                assert submatrix_multiplicity(approx, keep, lam) == want
+                assert submatrix_multiplicity(b, keep, lam) == want
+                numeric_hits += want > 0
+    # 51 of the 72 pieces have their own denominator; 213 exact hits, 107 of
+    # them at a conjugate root, and 170 numeric hits
+    assert other_d >= 40 and exact_hits >= 200 and conjugates >= 100 and numeric_hits >= 150
 
 
 def _gauss_rational(rng, num: int, den: int) -> ExactComplex:

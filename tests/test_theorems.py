@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import specmult.hermitian as hermitian_mod
 from specmult.errors import (
     AmbiguousCluster,
     NotApplicable,
@@ -31,6 +32,7 @@ from specmult.hermitian import (
     HermitianMatrix,
     adjacency_matrix,
     gain_graph,
+    random_in_S,
 )
 from specmult.oracle import certified_spectrum, enumerate_connected, enumerate_trees
 from specmult.spectra import (
@@ -496,6 +498,30 @@ def test_interlace_vertex():
         lemma_relation_checks(c5, b, lam, RelationProbe("interlace-v"))
     with pytest.raises(SideConditionUnmet):
         lemma_relation_checks(c5, b, lam, RelationProbe("interlace-v", vertex=9))
+
+
+def test_each_exact_matrix_is_cleared_once(monkeypatch):
+    """The bound at three probes and interlace-v, piece included, all read
+    the one set of cleared tables, which are tuples no caller can alter."""
+    calls = []
+    clear = hermitian_mod._clear_denominators
+
+    def counting(rows):
+        calls.append(rows)
+        return clear(rows)
+
+    monkeypatch.setattr(hermitian_mod, "_clear_denominators", counting)
+    g = tadpole_graph(4, 2)
+    b = random_in_S(g, seed=5)
+    for lam in (Fraction(0), Fraction(1), b.entries[0][0].re):
+        check_upper_bound(g, b, lam)
+    rep = lemma_relation_checks(g, b, Fraction(1, 2), RelationProbe("interlace-v", vertex=4))
+    assert rep.holds
+    assert len(calls) == 1 and calls[0] is b.entries
+    d, re, im = b.cleared
+    assert d == clear(b.entries)[0] and len(calls) == 1
+    for table in (re, im):
+        assert isinstance(table, tuple) and all(type(row) is tuple for row in table)
 
 
 def test_interlace_edge():
