@@ -1,9 +1,9 @@
 """Eigenvalue multiplicity machinery.
 
-One dispatcher, multiplicity(), answers "how often is lambda an eigenvalue
-of this matrix?"; one submatrix route, submatrix_multiplicity(), answers
-it for a principal submatrix, and a piece "carries lambda" when that
-multiplicity is at least 1.
+One dispatch answers "how often is lambda an eigenvalue of this principal
+submatrix of B?": multiplicity() asks it for B itself,
+submatrix_multiplicity() for the principal submatrix on a vertex set, and
+a piece "carries lambda" when that multiplicity is at least 1.
 
 Exact route: an exact HermitianMatrix clears its denominators once, on
 first use, to Gaussian integer tables d*B (HermitianMatrix.cleared), and
@@ -359,12 +359,6 @@ def _char_poly_of_tables(cre: IntTable, cim: IntTable) -> tuple[IntPolynomial, t
     return _faddeev_leverrier(cre, cim)
 
 
-def _scaled_tables(b: HermitianMatrix) -> tuple[int, IntPolynomial, tuple]:
-    """d with the memoised charpoly and vertex-deleted charpolys of d*B."""
-    d, cre, cim = b.cleared
-    return (d,) + _char_poly_of_tables(cre, cim)
-
-
 # ---------------------------------------------------------------------------
 # Exact rank / multiplicity
 
@@ -493,25 +487,39 @@ class SpectrumNumeric:
     residual_bound: float
 
 
-def multiplicity_exact_rational(b: HermitianMatrix, lam) -> MultiplicityResult:
-    """n - rank(B - lambda*I) over the Gaussian rationals.
+def _takes_exact_route(b: HermitianMatrix, lam: EigenvalueLike) -> bool:
+    """Exact entries and a rational or algebraic lambda."""
+    return b.is_exact and (isinstance(lam, AlgebraicEigenvalue) or _is_exact_scalar(lam))
 
-    With d*B cleared to Gaussian integer tables and lambda = p/q, the shift
-    is made in Z: q*(d*B) - p*d*I = q*d*(B - lambda*I) has the same rank.
+
+def _exact_multiplicity(b: HermitianMatrix, ids: Sequence[int], lam) -> MultiplicityResult:
+    """Multiplicity of lambda in the principal submatrix of the exact B on
+    the sorted, distinct vertices ids, read off B's cleared tables (d, re, im).
+
+    The slice of d*B on ids is d times the submatrix, so d clears it too.
+    For lambda = p/q the shift is made in Z: q*(d*B) - p*d*I on ids is q*d
+    times B[ids] - lambda*I and has the same rank. An algebraic lambda
+    divides the memoised charpoly of the slice by the minimal polynomial of
+    d*lambda.
     """
-    if not b.is_exact:
-        raise ParameterOutOfRange("exact multiplicity needs exact entries")
+    d, re, im = b.cleared
+    if isinstance(lam, AlgebraicEigenvalue):
+        if len(ids) < b.n:
+            re = tuple(tuple(re[i][j] for j in ids) for i in ids)
+            im = tuple(tuple(im[i][j] for j in ids) for i in ids)
+        charpoly, _ = _char_poly_of_tables(re, im)
+        m = multiplicity_via_minpoly(charpoly, _scaled_minpoly(lam.minpoly, d))
+        return MultiplicityResult(lam, m, "CharPolyDivision", 0.0)
     lam = Fraction(lam)
-    rank = exact_rank(*_shifted(b.cleared, range(b.n), *lam.as_integer_ratio()))
-    return MultiplicityResult(lam, b.n - rank, "ExactRank", 0.0)
+    rank = exact_rank(*_shifted(b.cleared, ids, *lam.as_integer_ratio()))
+    return MultiplicityResult(lam, len(ids) - rank, "ExactRank", 0.0)
 
 
 def _shifted(
     cleared: tuple[int, IntTable, IntTable], keep: Sequence[int], p: int, q: int
 ) -> tuple[list[list[int]], list[list[int]]]:
     """Real and imaginary int tables of q*(d*B) - p*d*I on the rows and
-    columns in keep, from B's cleared tables (d, re, im). That is q*d times
-    B[keep] - lambda*I for lambda = p/q, so it has the same rank."""
+    columns in keep, from B's cleared tables (d, re, im)."""
     d, re, im = cleared
     shift = p * d
     out_re, out_im = [], []
@@ -522,15 +530,6 @@ def _shifted(
         out_re.append(row)
         out_im.append([q * row_im[j] for j in keep])
     return out_re, out_im
-
-
-def multiplicity_exact_algebraic(b: HermitianMatrix, lam: AlgebraicEigenvalue) -> MultiplicityResult:
-    """Multiplicity of an algebraic eigenvalue by charpoly / minpoly division."""
-    if not b.is_exact:
-        raise ParameterOutOfRange("exact multiplicity needs exact entries")
-    d, scaled, _ = _scaled_tables(b)
-    m = multiplicity_via_minpoly(scaled, _scaled_minpoly(lam.minpoly, d))
-    return MultiplicityResult(lam, m, "CharPolyDivision", 0.0)
 
 
 def _minpoly(lam: EigenvalueLike) -> IntPolynomial:
@@ -554,16 +553,16 @@ def deletion_multiplicities(
     """Multiplicity of lambda in the principal submatrix B - v, for each v
     in vertices.
 
-    With exact entries and a rational or algebraic lambda, all of them come
-    off the one memoised Faddeev-LeVerrier run on d*B: each deleted charpoly
-    is divided by the primitive minimal polynomial of d*lambda (q*x - p*d,
-    reduced, for a rational p/q). That run costs more than one exact rank,
-    so a single deletion is cheaper through multiplicity() on its
-    submatrix. Other inputs take the numeric cluster count of each
-    submatrix.
+    On the exact route all of them come off the one memoised
+    Faddeev-LeVerrier run on d*B: each deleted charpoly is divided by the
+    primitive minimal polynomial of d*lambda (q*x - p*d, reduced, for a
+    rational p/q). That run costs more than one exact rank, so a single
+    deletion is cheaper through submatrix_multiplicity(). Other inputs take
+    the numeric cluster count of each submatrix.
     """
-    if b.is_exact and (isinstance(lam, AlgebraicEigenvalue) or _is_exact_scalar(lam)):
-        d, _, deleted = _scaled_tables(b)
+    if _takes_exact_route(b, lam):
+        d, re, im = b.cleared
+        _, deleted = _char_poly_of_tables(re, im)
         nu = _scaled_minpoly(_minpoly(lam), d)
         return [multiplicity_via_minpoly(IntPolynomial(deleted[v]), nu) for v in vertices]
     return [
@@ -578,27 +577,14 @@ def submatrix_multiplicity(
     vertices in keep (as principal_submatrix takes them: sorted, repeats
     dropped).
 
-    With exact entries and an exact lambda no submatrix is built: the slice
-    of B's cleared tables is d times the submatrix, d being B's own
-    denominator. A rational p/q takes the shifted Bareiss rank of
-    multiplicity_exact_rational; an algebraic lambda the memoised charpoly
-    of the slice, divided by the minimal polynomial of d*lambda. Other
-    inputs count the eigenvalues of the submatrix numerically.
+    It asks the same dispatch as multiplicity(). On the exact route no
+    submatrix is built: the question is answered on B's cleared tables.
+    Other inputs count the eigenvalues of the submatrix numerically.
     """
     ids = sorted(set(keep))
     if ids and not (0 <= ids[0] and ids[-1] < b.n):
         raise IndexOutOfRange(f"vertices {ids} outside range 0..{b.n - 1}")
-    if b.is_exact:
-        if _is_exact_scalar(lam):
-            return len(ids) - exact_rank(*_shifted(b.cleared, ids, *lam.as_integer_ratio()))
-        if isinstance(lam, AlgebraicEigenvalue):
-            d, re, im = b.cleared
-            charpoly, _ = _char_poly_of_tables(
-                tuple(tuple(re[i][j] for j in ids) for i in ids),
-                tuple(tuple(im[i][j] for j in ids) for i in ids),
-            )
-            return multiplicity_via_minpoly(charpoly, _scaled_minpoly(lam.minpoly, d))
-    return multiplicity(principal_submatrix(b, ids)[0], lam, tol).multiplicity
+    return _multiplicity_on(b, ids, lam, tol).multiplicity
 
 
 def eigenvalues_numeric(b: HermitianMatrix) -> SpectrumNumeric:
@@ -650,10 +636,18 @@ def multiplicity_numeric(b: HermitianMatrix, lam, tol: float = 1e-8) -> Multipli
 
 def multiplicity(b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8) -> MultiplicityResult:
     """Dispatch to the strongest applicable method for this matrix/eigenvalue."""
+    return _multiplicity_on(b, range(b.n), lam, tol)
+
+
+def _multiplicity_on(
+    b: HermitianMatrix, ids: Sequence[int], lam: EigenvalueLike, tol: float
+) -> MultiplicityResult:
+    """The one dispatch: multiplicity of lambda in the principal submatrix
+    of B on the sorted, distinct vertices ids (all of them for B itself)."""
+    if _takes_exact_route(b, lam):
+        return _exact_multiplicity(b, ids, lam)
     if b.is_exact:
-        if isinstance(lam, AlgebraicEigenvalue):
-            return multiplicity_exact_algebraic(b, lam)
-        if _is_exact_scalar(lam):
-            return multiplicity_exact_rational(b, lam)
-        return multiplicity_numeric(b, float(lam), tol)
+        lam = float(lam)
+    if len(ids) < b.n:
+        b = principal_submatrix(b, ids)[0]
     return multiplicity_numeric(b, lam, tol)

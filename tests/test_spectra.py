@@ -29,7 +29,6 @@ from specmult.spectra import (
     irreducible_factors,
     min_poly_2cos,
     multiplicity,
-    multiplicity_exact_rational,
     multiplicity_numeric,
     multiplicity_via_minpoly,
     poly_divmod,
@@ -367,10 +366,10 @@ def test_exact_rank_raises_on_an_inexact_division(monkeypatch):
 
 def test_multiplicity_exact_rational_fixture():
     b = adjacency_matrix(cycle_graph(4))
-    res = multiplicity_exact_rational(b, Fraction(0))
+    res = multiplicity(b, Fraction(0))
     assert res.multiplicity == 2 and res.method == "ExactRank"
-    assert multiplicity_exact_rational(b, Fraction(2)).multiplicity == 1
-    assert multiplicity_exact_rational(b, Fraction(5)).multiplicity == 0
+    assert multiplicity(b, Fraction(2)).multiplicity == 1
+    assert multiplicity(b, Fraction(5)).multiplicity == 0
 
 
 def test_multiplicity_exact_rational_ranks_through_exact_rank(monkeypatch):
@@ -385,7 +384,7 @@ def test_multiplicity_exact_rational_ranks_through_exact_rank(monkeypatch):
 
     monkeypatch.setattr(spectra_mod, "exact_rank", counting)
     b = adjacency_matrix(cycle_graph(4))
-    assert multiplicity_exact_rational(b, Fraction(1, 2)).multiplicity == 0
+    assert multiplicity(b, Fraction(1, 2)).multiplicity == 0
     ((re, im),) = seen
     # q*(d*B) - p*d*I with d = 1 and lambda = p/q = 1/2
     assert re == [[-1, 2, 0, 2], [2, -1, 2, 0], [0, 2, -1, 2], [2, 0, 2, -1]]
@@ -478,7 +477,7 @@ def test_multiplicity_exact_rational_against_sympy():
     deficient = fractional = 0
     for b, lams in cases:
         for lam in lams:
-            m = multiplicity_exact_rational(b, lam).multiplicity
+            m = multiplicity(b, lam).multiplicity
             assert m == b.n - _shifted_over_qq_i(b, lam).to_field().rank(), (b.entries, lam)
             deficient += m > 0
             fractional += m > 0 and lam.denominator > 1
