@@ -58,9 +58,11 @@ def _load_graph(path: str) -> Graph:
 def _load_matrix(args, g: Graph) -> HermitianMatrix:
     if getattr(args, "matrix", None):
         m = parse_matrix(_read(args.matrix))
-        if not validate_pattern(m, g):
+        # parsing put m in S(m.pattern), so it is in S(g) exactly when the
+        # patterns agree; validate_pattern still names an order mismatch
+        if m.pattern != g and not validate_pattern(m, g):
             raise PatternMismatch("matrix file is not in S(G) for the supplied graph")
-        return HermitianMatrix(m.n, m.entries, g, m.scalar)
+        return m
     return adjacency_matrix(g)
 
 

@@ -14,7 +14,7 @@ integer-only squarefree decomposition, and the full per-eigenvalue
 classifier only runs on graphs whose structural form could possibly be
 one-deficient (plus every graph where some multiplicity actually hits the
 target). For the decomposition form that gate is the classifier's own
-lambda-independent half, theorems._structure(g).form_d, which the
+lambda-independent half, structure._structure(g).form_d, which the
 classifier then reuses; it is asked only when 3*theta + 1 <= n, since
 fewer vertices cannot hold theta disjoint cycle pieces and a major.
 
@@ -93,16 +93,17 @@ from .spectra import (
     scaled_char_poly,
 )
 from .structure import (
+    _structure,
     is_cycle_graph,
     pendant_paths,
 )
 from .theorems import (
     RelationProbe,
+    _bound_holds,
     _bound_report,
     _classify,
     _form_d_conditions,
     _gain_closed_forms,
-    _structure,
     _tree_conditions,
     check_upper_bound,
     corollary_minus_one_tree,
@@ -1124,7 +1125,8 @@ def _campaign_random(cfg: CampaignConfig, rec: _Recorder) -> None:
             p, _d = scaled_char_poly(b)
             profile = int_multiplicity_profile(p.coeffs)
             maxm = max(profile)
-            ok = maxm <= bound and (maxm < bound or (is_cycle_graph(g) and bound == 2))
+            st = _structure(g)
+            ok = _bound_holds(maxm, st.theta, st.p)
             inst = _graph_instance(g, seed=seed, profile=sorted(profile.items()), bound=bound)
             rec.check("upper-bound-random", ok, key, inst, f"<= {bound}", maxm)
             probes = [Fraction(0), Fraction(1), b.entries[0][0].re]
@@ -1304,9 +1306,7 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
                 charpoly = tuple(coeffs_list[row])
                 profile = _cached_profile(charpoly)
                 maxm = max(profile)
-                cyc = theta == 1 and p == 0
-                ok = maxm <= bound and (maxm < bound or (cyc and bound == 2))
-                if not ok:
+                if not _bound_holds(maxm, theta, p):
                     g = Graph(n, _mask_edges(mask, slots))
                     rec.check(
                         "upper-bound-exhaustive",

@@ -7,6 +7,9 @@ discrepancy instead of being silently repaired.
 
 Throughout, the bound of interest is 2*theta(G) + p(G) (cycle count and
 pendant count); "one deficient" means multiplicity exactly one below it.
+Every shape fact (theta, p, the family tag, the majors and each form's
+vertices and pieces) is read from the graph's record in structure
+(structure._structure); this module works none of them out itself.
 """
 
 from __future__ import annotations
@@ -14,14 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
     NotApplicable,
     NotATree,
-    NotConnected,
     NotCStarShape,
     NotUnicyclic,
     PatternMismatch,
@@ -30,9 +31,7 @@ from .errors import (
 from .graphs import (
     Graph,
     bfs_distances,
-    components,
     cycle_graph,
-    cyclomatic_number,
     delete_edge,
     induced_subgraph,
     is_connected,
@@ -61,25 +60,14 @@ from .spectra import (
     submatrix_multiplicity,
 )
 from .structure import (
-    FamilyTag,
-    MajorSets,
-    blocks,
-    classify_family,
+    _connected_structure,
+    _structure,
     cycle_vertices,
     is_cycle_graph,
     is_path_graph,
     is_tree,
     major_sets,
     tadpole_parts,
-)
-
-VERDICTS = (
-    "AttainsBound",
-    "OneDeficientFormA",
-    "OneDeficientFormB",
-    "OneDeficientFormC",
-    "OneDeficientFormD",
-    "TwoPlusDeficient",
 )
 
 
@@ -121,7 +109,14 @@ class PredicateResult:
 
 def structural_bound(g: Graph) -> int:
     """2*theta + p, the multiplicity ceiling for connected G on >= 2 vertices."""
-    return 2 * cyclomatic_number(g) + len(pendant_vertices(g))
+    st = _structure(g)
+    return 2 * st.theta + st.p
+
+
+def _bound_holds(m: int, theta: int, p: int) -> bool:
+    """The bound's rule for a connected graph: m <= 2*theta + p, with
+    equality only on a cycle (theta 1, p 0) at m = 2."""
+    return m < 2 * theta + p or (m == 2 and theta == 1 and p == 0)
 
 
 def _mult(b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8) -> int:
@@ -138,8 +133,7 @@ def _instance_stub(g: Graph, lam) -> dict:
 
 def check_upper_bound(g: Graph, b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8) -> CheckReport:
     """multiplicity <= 2*theta + p, with equality only on cycles at multiplicity 2."""
-    if not is_connected(g):
-        raise NotConnected("bound check needs a connected graph")
+    _connected_structure(g, "bound check needs a connected graph")
     if g.n < 2:
         raise NotApplicable("bound check needs at least two vertices")
     if not validate_pattern(b, g):
@@ -150,13 +144,11 @@ def check_upper_bound(g: Graph, b: HermitianMatrix, lam: EigenvalueLike, tol: fl
 def _bound_report(g: Graph, b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8) -> CheckReport:
     """check_upper_bound on checked input."""
     m = _mult(b, lam, tol)
-    bound = structural_bound(g)
-    holds = m <= bound
-    if holds and m == bound:
-        holds = is_cycle_graph(g) and m == 2
+    st = _structure(g)
+    bound = 2 * st.theta + st.p
     inst = _instance_stub(g, lam)
     inst["equality"] = m == bound
-    return CheckReport("upper-bound", holds, m, bound, inst)
+    return CheckReport("upper-bound", _bound_holds(m, st.theta, st.p), m, bound, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +164,7 @@ def tree_equality_predicate(
     major vertices must carry lambda in its principal submatrix, and no two
     major vertices may be adjacent.
     """
-    if not (is_connected(t) and is_tree(t)):
+    if not is_tree(t):
         raise NotATree("predicate needs a connected tree")
     if t.n < 2:
         raise NotApplicable("predicate needs at least two vertices")
@@ -213,7 +205,7 @@ def corollary_nullity_tree(t: Graph) -> bool:
     Every leaf must be at odd distance from the major set and every pair of
     major vertices at even distance.
     """
-    if not (is_connected(t) and is_tree(t)):
+    if not is_tree(t):
         raise NotATree("needs a connected tree")
     leaves = pendant_vertices(t)
     if len(leaves) < 3:
@@ -236,7 +228,7 @@ def corollary_minus_one_tree(t: Graph) -> bool:
     Paths qualify exactly when n = 3k-1; otherwise every leaf-to-major
     distance must be congruent to 2 mod 3.
     """
-    if not (is_connected(t) and is_tree(t)):
+    if not is_tree(t):
         raise NotATree("needs a connected tree")
     leaves = pendant_vertices(t)
     if len(leaves) < 2:
@@ -254,113 +246,6 @@ def corollary_minus_one_tree(t: Graph) -> bool:
 
 # ---------------------------------------------------------------------------
 # Unicyclic graphs and the general decomposition form
-
-
-def _class_u_member(g: Graph) -> bool:
-    """Connected, exactly one cycle, at most one pendant vertex."""
-    return (
-        is_connected(g)
-        and cyclomatic_number(g) == 1
-        and len(pendant_vertices(g)) <= 1
-    )
-
-
-def _pieces(g: Graph, drop: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Parent ids of each component left after deleting the drop set."""
-    drop_set = set(drop)
-    rest = induced_subgraph(g, [v for v in range(g.n) if v not in drop_set])
-    return tuple(tuple(rest.to_parent[v] for v in comp) for comp in components(rest.child))
-
-
-class _Structure:
-    """The lambda-independent half of _classify for one labeled connected
-    graph. Each part is worked out on first use and kept as (nested)
-    tuples, so that every lambda of the graph, and the connected sweep's
-    form-D gate, share it without being able to alter it."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-
-    @cached_property
-    def family(self) -> FamilyTag:
-        return classify_family(self.g)
-
-    @cached_property
-    def theta(self) -> int:
-        return cyclomatic_number(self.g)
-
-    @cached_property
-    def p(self) -> int:
-        return len(pendant_vertices(self.g))
-
-    @cached_property
-    def majors(self) -> MajorSets:
-        return major_sets(self.g)
-
-    @cached_property
-    def tree(self) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-        """Form A: are the majors pairwise nonadjacent, and the parent ids
-        of each component of T - X."""
-        x_set = self.majors.X
-        nonadjacent = all(not self.g.has_edge(u, v) for u, v in combinations(x_set, 2))
-        return nonadjacent, _pieces(self.g, x_set)
-
-    @cached_property
-    def form_c(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Form C: the degree-2 cycle vertices next to a major, and the
-        majors, each ascending."""
-        g = self.g
-        x_set = set(self.majors.X)
-        ys = tuple(
-            v for v in cycle_vertices(g) if g.degree(v) == 2 and any(w in x_set for w in g.adj[v])
-        )
-        return ys, self.majors.X
-
-    @cached_property
-    def form_d(self) -> tuple[tuple, tuple, tuple]:
-        """Form D: (checks, cycle reports, pieces). The checks are the six
-        structural clauses as (name, holds) pairs; each cycle block reports
-        (vertices, majors on it, ok); each component left after deleting the
-        off-cycle majors is (parent ids, "path" | "single-cycle" | "other").
-        A graph failing any clause fails the form for every lambda."""
-        g = self.g
-        theta = self.theta
-        m_set = self.majors.M
-        cycle_reports = []
-        for blk in blocks(g):
-            if not blk.is_cycle_block:
-                continue
-            majors_on = tuple(v for v in blk.vertices if g.degree(v) >= 3)
-            ok = len(majors_on) == 1 and g.degree(majors_on[0]) == 3
-            cycle_reports.append((blk.vertices, majors_on, ok))
-        pieces = []
-        for ids in _pieces(g, m_set):
-            piece = induced_subgraph(g, ids).child
-            if is_path_graph(piece):
-                kind = "path"
-            elif _class_u_member(piece):
-                kind = "single-cycle"
-            else:
-                kind = "other"
-            pieces.append((ids, kind))
-        kinds = [kind for _, kind in pieces]
-        checks = (
-            ("theta_positive", theta >= 1),
-            ("offcycle_majors_nonempty", len(m_set) > 0),
-            ("one_degree3_major_per_cycle", all(ok for _, _, ok in cycle_reports)),
-            (
-                "offcycle_majors_nonadjacent",
-                all(not g.has_edge(u, v) for u, v in combinations(m_set, 2)),
-            ),
-            ("decomposes_into_cycles_and_paths", "other" not in kinds),
-            ("cycle_piece_count_matches_theta", kinds.count("single-cycle") == theta),
-        )
-        return checks, tuple(cycle_reports), tuple(pieces)
-
-
-# a graph's lambdas are classified one after another, so a few entries keep
-# every hit; never shared across relabelings, since the key is the labeled graph
-_structure = lru_cache(maxsize=16)(_Structure)
 
 
 def _form_d_conditions(
@@ -397,9 +282,10 @@ def unicyclic_equality_predicate(
     g: Graph, b: HermitianMatrix, lam: EigenvalueLike, tol: float = 1e-8
 ) -> PredicateResult:
     """Specialization of the decomposition form to exactly one cycle."""
-    if not is_connected(g) or cyclomatic_number(g) != 1:
+    st = _structure(g)
+    if not st.connected or st.theta != 1:
         raise NotUnicyclic("predicate needs a connected graph with exactly one cycle")
-    if len(pendant_vertices(g)) < 2:
+    if st.p < 2:
         raise NotApplicable("predicate needs at least two pendant vertices")
     if not validate_pattern(b, g):
         raise PatternMismatch("matrix is not in S(G)")
@@ -447,11 +333,8 @@ def cstar_adjacency_predicate(cstar: Graph, lam: EigenvalueLike, tol: float = 1e
     tail of one vertex (no spare path) always fails: the empty path carries
     no eigenvalue.
     """
-    if not is_connected(cstar):
+    if not _structure(cstar).connected:
         raise NotCStarShape("shape must be connected")
-    fam = classify_family(cstar)
-    if fam.kind != "CStarShape":
-        raise NotCStarShape(f"classified as {fam.kind}")
     cyc, _anchor, tail = tadpole_parts(cstar)
     spare = tail[1:]
     if not spare:
@@ -533,8 +416,7 @@ def conclusion_classifier(
     multiplicity comparison is recorded alongside, and any mismatch between
     the two is logged under evidence["violations"] rather than repaired.
     """
-    if not is_connected(g):
-        raise NotConnected("classifier needs a connected graph")
+    _connected_structure(g, "classifier needs a connected graph")
     if not validate_pattern(b, g):
         raise PatternMismatch("matrix is not in S(G)")
     if g.n < 2:
@@ -575,7 +457,7 @@ def _classify(
         # lands here regardless of the structural conditions
         verdict = "TwoPlusDeficient"
     violations = []
-    if verdict == "AttainsBound" and not (fam.kind == "Cycle" and m == 2):
+    if verdict == "AttainsBound" and not _bound_holds(m, theta, p):
         violations.append("bound attained on a non-cycle instance")
     if 1 <= m < bound and cond.holds != (m == bound - 1):
         violations.append(
@@ -728,14 +610,12 @@ def lemma_relation_checks(
         if probe.vertex is None:
             raise SideConditionUnmet("needs the degree-2 cycle vertex witness")
         x = probe.vertex
-        if not is_connected(g) or is_cycle_graph(g):
+        st = _structure(g)
+        if not st.connected or st.family.kind == "Cycle":
             raise SideConditionUnmet("needs a connected non-cycle graph")
-        cyc = cycle_vertices(g)
-        majors = set(major_sets(g).X)
-        if x not in cyc or g.degree(x) != 2:
-            raise SideConditionUnmet("witness must be a degree-2 cycle vertex")
-        if not any(w in majors and w in cyc for w in g.adj[x]):
-            raise SideConditionUnmet("witness must be adjacent to a major cycle vertex")
+        # both neighbours of a degree-2 cycle vertex lie on its cycle
+        if x not in st.form_c[0]:
+            raise SideConditionUnmet("witness must be a degree-2 cycle vertex next to a major")
         m = _mult(b, lam, tol)
         if m != structural_bound(g) - 1:
             raise SideConditionUnmet("graph must be exactly one below the bound")
@@ -747,8 +627,8 @@ def lemma_relation_checks(
         inst["still_one_deficient"] = still_deficient
         return CheckReport(rel, drop_ok and still_deficient, m, md, inst)
     if rel == "theta-infty":
-        fam = classify_family(g) if is_connected(g) else None
-        if fam is None or fam.kind not in ("ThetaGraph", "InfinityGraph"):
+        st = _structure(g)
+        if not st.connected or st.family.kind not in ("ThetaGraph", "InfinityGraph"):
             raise SideConditionUnmet("needs a two-cycle shape")
         m = _mult(b, lam, tol)
         if m != structural_bound(g) - 1:

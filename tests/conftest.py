@@ -5,7 +5,7 @@ with cold spectral and structure memos."""
 
 import pytest
 
-from specmult import oracle, spectra, theorems
+from specmult import oracle, spectra, structure
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -23,7 +23,7 @@ def cold_spectral_memos():
     oracle._spectral_factors.cache_clear()
     spectra._char_poly_of_tables.cache_clear()
     spectra._division_count.cache_clear()
-    theorems._structure.cache_clear()
+    structure._structure.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

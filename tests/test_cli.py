@@ -112,6 +112,14 @@ def test_matrix_pattern_mismatch(capsys, tmp_path, c5_file):
     assert code == 1 and json.loads(err)["error"] == "PatternMismatch"
 
 
+def test_matrix_order_mismatch(capsys, tmp_path, c5_file):
+    mpath = tmp_path / "small.matrix"
+    mpath.write_text(serialize_matrix(adjacency_matrix(cycle_graph(4))))
+    argv = ["classify", "--graph", c5_file, "--matrix", str(mpath), "--lambda", "0"]
+    code, _, err = _run(capsys, argv)
+    assert code == 1 and json.loads(err)["error"] == "DimensionMismatch"
+
+
 def test_check_relation(capsys, c5_file):
     argv = [
         "check", "--relation", "interlace-v", "--graph", c5_file,

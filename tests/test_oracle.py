@@ -11,7 +11,7 @@ import sympy
 
 import specmult.oracle as oracle_mod
 from specmult.errors import CapExceeded, ParameterOutOfRange, TimeBudgetExceeded
-from specmult.graphs import Graph, cycle_graph, is_connected, path_graph
+from specmult.graphs import Graph, cycle_graph, cyclomatic_number, is_connected, path_graph
 from specmult.hermitian import adjacency_matrix, random_in_S
 from specmult.oracle import (
     CampaignConfig,
@@ -35,7 +35,7 @@ from specmult.oracle import (
     run_campaign,
 )
 from specmult.spectra import scaled_char_poly
-from specmult.structure import classify_family, cyclomatic_number, is_tree
+from specmult.structure import classify_family, is_tree
 from specmult.theorems import RelationProbe, _form_d_conditions, lemma_relation_checks
 
 LABELED_CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}

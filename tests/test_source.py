@@ -48,10 +48,10 @@ def test_every_private_module_function_is_used():
     assert [d for d in defined if d[1] not in referenced] == []
 
 
-def test_every_public_module_function_is_used_or_exported():
-    """A public module-level function that no module of the package uses
-    and the package's __init__ does not export is reachable from the tests
-    alone: dead code with a public name."""
+def _unused_public_names(kinds: tuple) -> list[tuple[str, str]]:
+    """(module, name) of each public module-level name, bound by a statement
+    of one of these node types, that no module of the package uses and the
+    package's __init__ does not export: reachable from the tests alone."""
     defined = []
     referenced: set[str] = set()
     exported: set[str] = set()
@@ -62,11 +62,24 @@ def test_every_public_module_function_is_used_or_exported():
             continue
         for node in tree.body:
             names = _referenced_names(node)
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                names.discard(node.name)  # self-recursion is not a use
-                defined.append((path.name, node.name))
+            if isinstance(node, kinds):
+                for name in _defined_names(node):
+                    if not name.startswith("_"):
+                        names.discard(name)  # self-reference is not a use
+                        defined.append((path.name, name))
             referenced |= names
-    assert [d for d in defined if d[1] not in referenced | exported] == []
+    return [d for d in defined if d[1] not in referenced | exported]
+
+
+def test_every_public_module_function_is_used_or_exported():
+    """A public module-level function that nothing uses is dead code with a
+    public name."""
+    assert _unused_public_names((ast.FunctionDef,)) == []
+
+
+def test_every_public_module_constant_and_class_is_used_or_exported():
+    """The same for a public module-level constant or class."""
+    assert _unused_public_names((ast.ClassDef, ast.Assign, ast.AnnAssign)) == []
 
 
 def _imported_names(tree: ast.Module) -> list[str]:

@@ -1,8 +1,12 @@
 import random
+import sys
+from collections import Counter
+from fractions import Fraction
 
 import networkx as nx
 import pytest
 
+from specmult import graphs, structure
 from specmult.errors import NotApplicable, NotConnected
 from specmult.graphs import (
     Graph,
@@ -29,6 +33,8 @@ from specmult.structure import (
     structure_report,
     tadpole_parts,
 )
+from specmult.hermitian import adjacency_matrix
+from specmult.theorems import conclusion_classifier, cstar_adjacency_predicate
 
 
 def _nx(g: Graph) -> nx.Graph:
@@ -206,3 +212,41 @@ def test_structure_report_fields():
     assert len(rep["pendant_cycles"]) == 1
     rep2 = structure_report(disjoint_union(path_graph(2), path_graph(2)))
     assert rep2["omega"] == 2 and rep2["family"] is None
+
+
+def test_each_query_works_out_a_graph_once(monkeypatch):
+    """Every shape query reads the graph's one record: at most one
+    components pass and one block decomposition per graph object it
+    inspects, a form-D piece being a graph of its own."""
+    calls = {"components": [], "blocks": []}
+    for name, fn in (("components", graphs.components), ("blocks", structure.blocks)):
+        def counted(g, _fn=fn, _seen=calls[name]):
+            _seen.append(g)  # keeps g alive, so ids stay distinct
+            return _fn(g)
+
+        for mod in list(sys.modules.values()):
+            if mod.__name__.startswith("specmult") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    # two triangles and a path hung on one off-cycle major: form D at -1
+    form_d = Graph(9, [(0, 1), (1, 2), (2, 3), (1, 3), (0, 4), (4, 5), (5, 6), (4, 6), (0, 7), (7, 8)])
+    theta = theta_graph(3, 2, 2)
+    tadpole = tadpole_graph(5, 3)
+    # (query, graphs it inspects): form D looks at G, G - M and three pieces
+    cases = [
+        (lambda: structure_report(tadpole), 1),
+        (lambda: pendant_paths(tadpole), 1),
+        (lambda: cstar_adjacency_predicate(tadpole, Fraction(-1)), 1),
+        (lambda: conclusion_classifier(form_d, adjacency_matrix(form_d), Fraction(-1)), 5),
+        (lambda: conclusion_classifier(theta, adjacency_matrix(theta), Fraction(0)), 1),
+    ]
+    for query, inspected in cases:
+        structure._structure.cache_clear()
+        for seen in calls.values():
+            seen.clear()
+        query()
+        for seen in calls.values():
+            assert max(Counter(map(id, seen)).values(), default=0) <= 1
+        assert len(calls["components"]) == inspected
+        # only the queried graph enters the memo, never a piece
+        assert structure._structure.cache_info().currsize == 1
+    assert conclusion_classifier(form_d, adjacency_matrix(form_d), Fraction(-1)).verdict == "OneDeficientFormD"

@@ -41,11 +41,11 @@ from specmult.spectra import (
     min_poly_2cos,
     multiplicity,
 )
+from specmult.structure import _structure
 from specmult.theorems import (
     RELATIONS,
     RelationProbe,
     _classify,
-    _structure,
     check_upper_bound,
     conclusion_classifier,
     corollary_minus_one_tree,
