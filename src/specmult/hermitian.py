@@ -275,7 +275,7 @@ def validate_pattern(b: HermitianMatrix, g: Graph) -> bool:
     if b.n != g.n:
         raise DimensionMismatch(f"matrix order {b.n} vs graph order {g.n}")
     if b.is_exact:
-        return _exact_in_pattern(b.entries, g)
+        return _exact_in_pattern(b, g)
     for i in range(b.n):
         if abs(b.entries[i][i].imag) > _APPROX_HERMITIAN_TOL:
             return False
@@ -288,22 +288,23 @@ def validate_pattern(b: HermitianMatrix, g: Graph) -> bool:
     return True
 
 
-def _exact_in_pattern(rows: Sequence[Sequence[ExactComplex]], g: Graph) -> bool:
-    """validate_pattern on exact entries. A Fraction's integer ratio is in
-    lowest terms with a positive denominator, so tuple equality is Fraction
-    equality; the pairs are compared without building a conjugate."""
+def _exact_in_pattern(b: HermitianMatrix, g: Graph) -> bool:
+    """validate_pattern on exact entries, read off the cleared Gaussian
+    integer tables of d*B (HermitianMatrix.cleared), which every exact
+    question about B reads anyway. d > 0, so d*B has B's support, and it is
+    Hermitian with a real diagonal exactly when B is; the pairs are compared
+    as ints, without building a conjugate."""
+    _, re, im = b.cleared
     edges = g.edge_set
     support = 0
-    for i, row in enumerate(rows):
-        if row[i].im:
+    for i, (row_re, row_im) in enumerate(zip(re, im)):
+        if row_im[i]:
             return False
-        for j in range(i + 1, len(rows)):
-            x, y = row[j], rows[j][i]
-            xr, (xn, xd) = x.re.as_integer_ratio(), x.im.as_integer_ratio()
-            yn, yd = y.im.as_integer_ratio()
-            if xr != y.re.as_integer_ratio() or xn != -yn or xd != yd:
+        for j in range(i + 1, len(re)):
+            xr, xi = row_re[j], row_im[j]
+            if xr != re[j][i] or xi != -im[j][i]:
                 return False
-            if xr[0] or xn:
+            if xr or xi:
                 if (i, j) not in edges:
                     return False
                 support += 1

@@ -21,9 +21,12 @@ fewer vertices cannot hold theta disjoint cycle pieces and a major.
 Profiles and irreducible factors (with their exact root descriptors) are
 pure functions of the exact integer coefficient tuple, and the n <= 7 sweep
 has only 962 distinct characteristic polynomials among 1,893,731 graphs, so
-both are memoised by coefficient tuple (_cached_profile, _spectral_factors);
-certified_spectrum shares the factor memo. Classifier verdicts are never
-reused: every labeled graph is still classified on its own.
+both are memoised by coefficient tuple (_cached_profile, _spectral_factors).
+certified_spectrum reads its multiplicities off the squarefree split
+instead, memoised the same way (_spectral_parts), and factors a part only
+when a cluster's exact eigenvalue is read (_root_descriptors). Classifier
+verdicts are never reused: every labeled graph is still classified on its
+own.
 
 run_campaign alone resolves a campaign's cap: None means the campaign's
 default, any other value is used as given, and a value above the campaign's
@@ -91,6 +94,7 @@ from .spectra import (
     irreducible_factors,
     multiplicity,
     scaled_char_poly,
+    squarefree_parts,
 )
 from .structure import (
     _structure,
@@ -562,19 +566,41 @@ def _batched_charpoly(a_batch: np.ndarray) -> np.ndarray:
 # Certified eigenvalue descriptors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertifiedCluster:
-    """One distinct eigenvalue of an exact matrix, exactly described.
+    """One distinct eigenvalue of an exact matrix, with its exact multiplicity.
 
-    lam is a descriptor for scale*eigenvalue, valid against the matrix
-    scale*B (which has Gaussian integer entries); approx locates the
-    unscaled eigenvalue on the real line.
+    The eigenvalue, times scale, is root number index (ascending) of part, a
+    squarefree part of the characteristic polynomial of scale*B (which has
+    Gaussian integer entries); every root of part has this multiplicity.
+    approx locates the unscaled eigenvalue on the real line, exactly where
+    it is an integer over scale. lam, the exact descriptor of
+    scale*eigenvalue (valid against scale*B), is worked out on first read by
+    factoring part alone. Clusters are equal when their multiplicities,
+    scales and exact eigenvalues are.
     """
 
-    lam: object
     multiplicity: int
     scale: int
     approx: float
+    part: IntPolynomial
+    index: int
+
+    @property
+    def lam(self):
+        return _root_descriptors(self.part.coeffs)[self.index]
+
+    def __eq__(self, other):
+        if not isinstance(other, CertifiedCluster):
+            return NotImplemented
+        if (self.multiplicity, self.scale) != (other.multiplicity, other.scale):
+            return False
+        if self.part == other.part:  # distinct roots of one squarefree part
+            return self.index == other.index
+        return self.lam == other.lam
+
+    def __hash__(self):
+        return hash((self.multiplicity, self.scale))
 
 
 def _factor_roots(f: IntPolynomial) -> tuple:
@@ -605,13 +631,83 @@ def _spectral_factors(coeffs: tuple) -> tuple:
     )
 
 
+def _factored_roots(coeffs: tuple) -> list:
+    """Exact descriptors of every root of the polynomial with these
+    coefficients, ascending, from its irreducible factors."""
+    roots = (lam for _, factor_roots in _spectral_factors(coeffs) for lam in factor_roots)
+    return sorted(roots, key=eigenvalue_float)
+
+
+def _part_roots(f: IntPolynomial) -> tuple:
+    """Every root of a squarefree part f of a Hermitian characteristic
+    polynomial, ascending: a Fraction where it is known exactly (the root of
+    a linear part, or an integer root), a float otherwise.
+
+    All such roots are real. A rounded root k at which f vanishes exactly is
+    the integer root k; a squarefree f has it once, so only the float
+    nearest k takes it. When the root finder loses a root of f, the roots
+    come from f's irreducible factors, which raise if one of them loses a
+    root too, so the answer is never short.
+    """
+    if f.degree == 1:
+        return (Fraction(-f.coeffs[0], f.coeffs[1]),)
+    roots: list = _real_roots(f.coeffs)
+    if len(roots) != f.degree:
+        return tuple(
+            lam if isinstance(lam, Fraction) else lam.approx
+            for lam in _factored_roots(f.coeffs)
+        )
+    integer_at: dict[int, int] = {}
+    for i, r in enumerate(roots):
+        k = round(r)
+        value = 0
+        for c in reversed(f.coeffs):
+            value = value * k + c
+        if value == 0 and (k not in integer_at or abs(r - k) < abs(roots[integer_at[k]] - k)):
+            integer_at[k] = i
+    for k, i in integer_at.items():
+        roots[i] = Fraction(k)
+    return tuple(sorted(roots))
+
+
+@lru_cache(maxsize=4096)
+def _root_descriptors(coeffs: tuple) -> tuple:
+    """Exact descriptors of the roots of the squarefree part with these
+    coefficients, in the order of _part_roots, so that the descriptor at
+    index i describes root i; memoised, so the part is factored once."""
+    descriptors = _factored_roots(coeffs)
+    roots = [float(r) for r in _part_roots(IntPolynomial(coeffs))]
+    for i, lam in enumerate(descriptors):
+        x = eigenvalue_float(lam)
+        if min(range(len(roots)), key=lambda j: abs(roots[j] - x)) != i:
+            raise AssertionError(f"root {i} of {IntPolynomial(coeffs)} lies nearer another root")
+    return tuple(descriptors)
+
+
+@lru_cache(maxsize=4096)
+def _spectral_parts(coeffs: tuple) -> tuple:
+    """(part, multiplicity, roots) for each squarefree part of the integer
+    polynomial with these coefficients, in squarefree_parts' order, with the
+    roots of _part_roots; memoised, so the result is immutable."""
+    return tuple(
+        (f, mult, _part_roots(f)) for f, mult in squarefree_parts(IntPolynomial(coeffs))
+    )
+
+
 def certified_spectrum(b: HermitianMatrix) -> list[CertifiedCluster]:
-    """Every distinct eigenvalue with its exact multiplicity, ascending."""
+    """Every distinct eigenvalue with its exact multiplicity, ascending.
+
+    The multiplicities come from the squarefree split of the characteristic
+    polynomial, and nothing is factored until a cluster's lam is read.
+    Raises AssertionError rather than return a short spectrum, when a part
+    loses a root both to the root finder and through its factors, or when
+    the multiplicities do not sum to the matrix order.
+    """
     p, d = scaled_char_poly(b)
     out = [
-        CertifiedCluster(lam, mult, d, eigenvalue_float(lam) / d)
-        for mult, roots in _spectral_factors(p.coeffs)
-        for lam in roots
+        CertifiedCluster(mult, d, float(r) / d, f, i)
+        for f, mult, roots in _spectral_parts(p.coeffs)
+        for i, r in enumerate(roots)
     ]
     if sum(c.multiplicity for c in out) != b.n:
         raise AssertionError("certified multiplicities do not sum to the matrix order")

@@ -22,7 +22,7 @@ polynomial q*x - p. Two memos hold pure functions of integer tuples: the
 charpoly (with the vertex-deleted charpolys) of a cleared table, and the
 division count of a charpoly by a minimal polynomial, which the conjugate
 roots of one irreducible factor share. hermitian.validate_pattern checks
-exact matrices on integer ratios as well.
+exact matrices on the cleared tables as well.
 
 Numeric route: Hermitian eigendecomposition with a residual bound of
 10 * n * eps * ||B||  (c = 10; ||B|| is the spectral norm read off the
@@ -174,6 +174,29 @@ def irreducible_factors(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
         if len(_trim(cs)) <= 1:
             continue
         out.append((IntPolynomial(poly_primitive_int(cs)), int(mult)))
+    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return out
+
+
+def squarefree_parts(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
+    """Squarefree split of p: pairwise coprime squarefree primitive parts
+    f_k with p = c * prod f_k^k, each with its k (D. Y. Y. Yun, "On
+    square-free decomposition algorithms", SYMSAC 1976), in
+    irreducible_factors' order (constants dropped).
+
+    Each root of f_k is a root of p of multiplicity exactly k, so the split
+    gives every multiplicity without factoring.
+    """
+    import sympy
+
+    x = sympy.Symbol("x")
+    expr = sympy.Poly(list(reversed(p.coeffs)), x, domain="ZZ")
+    _, parts = expr.sqf_list()
+    out = [
+        (IntPolynomial(poly_primitive_int([int(c) for c in reversed(f.all_coeffs())])), int(k))
+        for f, k in parts
+        if f.degree() >= 1
+    ]
     out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return out
 

@@ -528,10 +528,14 @@ def lemma_relation_checks(
 ) -> CheckReport:
     """Check one deletion/composition/gain relation on a concrete instance.
 
-    Raises SideConditionUnmet when the relation's hypotheses do not apply to
-    this instance; that is not a failed check.
+    Raises PatternMismatch (DimensionMismatch on an order mismatch) when b
+    is not in S(G), and SideConditionUnmet when the relation's hypotheses do
+    not apply to this instance; that is not a failed check. gain-cycle reads
+    no b: its matrix is built from the probe's gains.
     """
     rel = probe.relation
+    if rel != "gain-cycle" and not validate_pattern(b, g):
+        raise PatternMismatch("matrix is not in S(G)")
     tol = probe.tol
     inst = _instance_stub(g, lam)
     inst["relation"] = rel
@@ -622,7 +626,7 @@ def lemma_relation_checks(
         keep = [v for v in range(g.n) if v != x]
         md = submatrix_multiplicity(b, keep, lam, tol)
         drop_ok = m == md + 1
-        still_deficient = md == structural_bound(induced_subgraph(b.pattern, keep).child) - 1
+        still_deficient = md == structural_bound(induced_subgraph(g, keep).child) - 1
         inst["vertex"] = x
         inst["still_one_deficient"] = still_deficient
         return CheckReport(rel, drop_ok and still_deficient, m, md, inst)

@@ -11,7 +11,14 @@ import sympy
 
 import specmult.oracle as oracle_mod
 from specmult.errors import CapExceeded, ParameterOutOfRange, TimeBudgetExceeded
-from specmult.graphs import Graph, cycle_graph, cyclomatic_number, is_connected, path_graph
+from specmult.graphs import (
+    Graph,
+    cycle_graph,
+    cyclomatic_number,
+    is_connected,
+    path_graph,
+    theta_graph,
+)
 from specmult.hermitian import adjacency_matrix, random_in_S
 from specmult.oracle import (
     CampaignConfig,
@@ -34,7 +41,7 @@ from specmult.oracle import (
     int_multiplicity_profile,
     run_campaign,
 )
-from specmult.spectra import scaled_char_poly
+from specmult.spectra import IntPolynomial, describe_eigenvalue, eigenvalue_float, scaled_char_poly
 from specmult.structure import classify_family, is_tree
 from specmult.theorems import RelationProbe, _form_d_conditions, lemma_relation_checks
 
@@ -351,8 +358,8 @@ def test_connected_sweep_raises_on_a_lost_root(monkeypatch):
 
 
 def test_certified_spectrum_raises_when_multiplicities_fall_short(monkeypatch):
-    real = oracle_mod.irreducible_factors
-    monkeypatch.setattr(oracle_mod, "irreducible_factors", lambda p: real(p)[1:])
+    real = oracle_mod.squarefree_parts
+    monkeypatch.setattr(oracle_mod, "squarefree_parts", lambda p: real(p)[1:])
     with pytest.raises(AssertionError, match="sum to the matrix order"):
         certified_spectrum(adjacency_matrix(cycle_graph(6)))
 
@@ -364,13 +371,106 @@ def test_certified_spectrum_memo_hands_out_fresh_lists():
     first.pop()
     first.reverse()
     second = certified_spectrum(b)
-    oracle_mod._spectral_factors.cache_clear()
+    oracle_mod._spectral_parts.cache_clear()
     assert second == certified_spectrum(b) == expected
     coeffs = scaled_char_poly(b)[0].coeffs
-    memo = oracle_mod._spectral_factors(coeffs)
-    assert isinstance(memo, tuple) and all(isinstance(roots, tuple) for _, roots in memo)
+    memo = oracle_mod._spectral_parts(coeffs)
+    assert isinstance(memo, tuple) and all(isinstance(roots, tuple) for _, _, roots in memo)
     with pytest.raises(TypeError):
         oracle_mod._cached_profile(coeffs)[1] = 6
+
+
+def _factored_spectrum(b) -> list:
+    """(multiplicity, scale, lam, approx) of each distinct eigenvalue of b,
+    ascending, from the irreducible factors of its characteristic
+    polynomial: the route that factors everything up front."""
+    p, d = scaled_char_poly(b)
+    out = [
+        (mult, d, lam, eigenvalue_float(lam) / d)
+        for mult, roots in oracle_mod._spectral_factors(p.coeffs)
+        for lam in roots
+    ]
+    return sorted(out, key=lambda c: c[3])
+
+
+def test_certified_spectrum_matches_the_factored_route():
+    rng = random.Random(1103)
+    clusters = 0
+    for trial in range(400):
+        n = rng.randint(2, 12)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35])
+        b = adjacency_matrix(g) if trial % 2 else random_in_S(g, seed=rng.randrange(1 << 30))
+        got = certified_spectrum(b)
+        want = _factored_spectrum(b)
+        assert len(got) == len(want), (n, g.edges)
+        for c, (mult, d, lam, approx) in zip(got, want):
+            assert (c.multiplicity, c.scale) == (mult, d)
+            assert describe_eigenvalue(c.lam) == describe_eigenvalue(lam)
+            if isinstance(lam, Fraction):
+                assert c.approx == approx
+            else:
+                assert c.approx == pytest.approx(approx, rel=1e-9)
+        clusters += len(got)
+    assert clusters > 2000
+
+
+def test_certified_spectrum_factors_nothing_until_lam_is_read(monkeypatch):
+    def refuse(p):
+        raise RuntimeError("factored")
+
+    monkeypatch.setattr(oracle_mod, "irreducible_factors", refuse)
+    b = random_in_S(theta_graph(2, 3, 3), seed=5)
+    clusters = certified_spectrum(b)
+    assert sum(c.multiplicity for c in clusters) == b.n
+    ev = np.linalg.eigvalsh(b.to_numpy())
+    approx = [c.approx for c in clusters for _ in range(c.multiplicity)]
+    assert approx == pytest.approx(list(ev), rel=1e-9, abs=1e-12)
+    with pytest.raises(RuntimeError, match="factored"):
+        clusters[0].lam
+
+
+def _count_factor_calls(monkeypatch) -> list:
+    """Record the coefficients of every polynomial that oracle factors."""
+    factored = []
+    real = oracle_mod.irreducible_factors
+
+    def counted(p):
+        factored.append(p.coeffs)
+        return real(p)
+
+    monkeypatch.setattr(oracle_mod, "irreducible_factors", counted)
+    return factored
+
+
+def test_reading_one_lam_factors_only_its_part(monkeypatch):
+    factored = _count_factor_calls(monkeypatch)
+    # C_10's charpoly splits into x^2 - 4 (simple) and x^4 - 3x^2 + 1 (double)
+    clusters = certified_spectrum(adjacency_matrix(cycle_graph(10)))
+    assert [c.multiplicity for c in clusters] == [1, 2, 2, 2, 2, 1]
+    assert factored == []
+    assert clusters[1].lam.minpoly == IntPolynomial((-1, 1, 1))
+    assert factored == [(1, 0, -3, 0, 1)]
+    assert [c.lam.minpoly.coeffs for c in clusters[2:5]] == [(-1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
+    assert len(factored) == 1
+    assert clusters[0].lam == Fraction(-2)
+    assert factored == [(1, 0, -3, 0, 1), (-4, 0, 1)]
+
+
+def test_certified_spectrum_takes_lost_roots_from_the_factors(monkeypatch):
+    # C_10's doubled part x^4 - 3x^2 + 1 splits into x^2 + x - 1 and
+    # x^2 - x - 1; the root finder loses a root of the part but not of either
+    # factor, so the answer must come from the factors, unchanged
+    b = adjacency_matrix(cycle_graph(10))
+    part = (1, 0, -3, 0, 1)
+    real = oracle_mod._real_roots
+    monkeypatch.setattr(
+        oracle_mod, "_real_roots", lambda c: real(c)[:-1] if tuple(c) == part else real(c)
+    )
+    factored = _count_factor_calls(monkeypatch)
+    clusters = certified_spectrum(b)
+    assert factored == [part]
+    got = [(c.multiplicity, c.scale, c.lam, c.approx) for c in clusters]
+    assert got == _factored_spectrum(b)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Source-level guards over the package itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "specmult"
@@ -103,3 +106,18 @@ def test_no_unused_imports():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [(path.name, name) for name in _imported_names(tree) if name not in used]
     assert unused == []
+
+
+def test_importing_the_package_leaves_sympy_unloaded():
+    """sympy is imported inside the functions that factor or split a
+    polynomial, so that a run which never does either pays nothing for it."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    code = "import sys, specmult, specmult.cli, specmult.oracle; print('sympy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -32,9 +32,11 @@ from specmult.spectra import (
     multiplicity_numeric,
     multiplicity_via_minpoly,
     poly_divmod,
+    poly_mul,
     poly_primitive_int,
     scale_minpoly,
     scaled_char_poly,
+    squarefree_parts,
     submatrix_multiplicity,
 )
 
@@ -85,6 +87,24 @@ def test_irreducible_factors_match_sympy():
             fp = sympy.Poly(fac, X)
             ref.append((tuple(reversed([int(c) for c in fp.all_coeffs()])), m))
         assert ours == sorted(ref)
+
+
+def test_squarefree_parts_group_the_factors_by_multiplicity():
+    rng = random.Random(12)
+    pieces = [(-2, 1), (1, 1), (3, -2), (-1, 0, 1), (-1, 1, 1), (2, 0, 0, 1)]
+    for _ in range(30):
+        p: tuple = (rng.choice((-3, 1, 2)),)
+        for _ in range(rng.randint(1, 5)):
+            p = poly_mul(p, rng.choice(pieces))
+        poly = IntPolynomial(p)
+        parts = squarefree_parts(poly)
+        by_mult: dict = {}
+        for f, m in irreducible_factors(poly):
+            by_mult[m] = poly_mul(by_mult.get(m, (1,)), f.coeffs)
+        assert sorted((m, f.coeffs) for f, m in parts) == sorted(
+            (m, poly_primitive_int(f)) for m, f in by_mult.items()
+        )
+        assert parts == sorted(parts, key=lambda fm: (fm[0].degree, fm[0].coeffs))
 
 
 def test_cyclotomic_against_sympy():

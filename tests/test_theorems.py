@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -6,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import specmult
 import specmult.hermitian as hermitian_mod
 from specmult.errors import (
     AmbiguousCluster,
+    DimensionMismatch,
     NotApplicable,
     NotATree,
     NotConnected,
@@ -469,6 +472,41 @@ def test_classifier_preconditions():
 
 # ---------------------------------------------------------------------------
 # Relation probes
+
+
+def test_every_exported_pair_function_rejects_a_mismatched_pair():
+    """Each exported function that takes a graph and a matrix refuses a
+    matrix outside S(G) before it answers: an order mismatch raises
+    DimensionMismatch and a support mismatch PatternMismatch."""
+    unicyclic = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (1, 5)])
+    spider = Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
+    # a graph inside each function's scope, so only the pair can be wrong
+    scope = {
+        "check_upper_bound": unicyclic,
+        "conclusion_classifier": unicyclic,
+        "lemma_relation_checks": unicyclic,
+        "tree_equality_predicate": spider,
+        "unicyclic_equality_predicate": unicyclic,
+    }
+    pair_functions = {
+        name
+        for name in specmult.__all__
+        if inspect.isfunction(getattr(specmult, name))
+        and list(inspect.signature(getattr(specmult, name)).parameters)[:2] in (["g", "b"], ["t", "b"])
+    }
+    assert pair_functions == set(scope)
+    probe = RelationProbe("interlace-v", vertex=0)
+    for name, g in scope.items():
+        fn = getattr(specmult, name)
+        extra = (probe,) if name == "lemma_relation_checks" else ()
+        for b, error in (
+            (adjacency_matrix(path_graph(g.n + 1)), DimensionMismatch),
+            (adjacency_matrix(path_graph(g.n)), PatternMismatch),
+        ):
+            with pytest.raises(error):
+                fn(g, b, Fraction(0), *extra)
+    with pytest.raises(DimensionMismatch):
+        lemma_relation_checks(cycle_graph(5), adjacency_matrix(path_graph(6)), 0, probe)
 
 
 def test_relations_constant():
