@@ -18,13 +18,14 @@ lambda-independent half, structure._structure(g).form_d, which the
 classifier then reuses; it is asked only when 3*theta + 1 <= n, since
 fewer vertices cannot hold theta disjoint cycle pieces and a major.
 
-Profiles and irreducible factors (with their exact root descriptors) are
-pure functions of the exact integer coefficient tuple, and the n <= 7 sweep
-has only 962 distinct characteristic polynomials among 1,893,731 graphs, so
-both are memoised by coefficient tuple (_cached_profile, _spectral_factors).
-certified_spectrum reads its multiplicities off the squarefree split
-instead, memoised the same way (_spectral_parts), and factors a part only
-when a cluster's exact eigenvalue is read (_root_descriptors). Classifier
+Profiles, squarefree splits and the exact root descriptors of a squarefree
+part are pure functions of the exact integer coefficient tuple, and the
+n <= 7 sweep has only 962 distinct characteristic polynomials among
+1,893,731 graphs, so each is memoised by coefficient tuple (_cached_profile,
+_spectral_parts, _root_descriptors). The sweep proves the bound from the
+integer-only profile and classifies each eigenvalue at the multiplicity of
+its squarefree part; certified_spectrum reads the same split. Either way a
+part is factored only when its exact eigenvalues are read. Classifier
 verdicts are never reused: every labeled graph is still classified on its
 own.
 
@@ -603,38 +604,28 @@ class CertifiedCluster:
         return hash((self.multiplicity, self.scale))
 
 
-def _factor_roots(f: IntPolynomial) -> tuple:
-    """Exact descriptors of every root of an irreducible factor of a
-    Hermitian characteristic polynomial, ascending.
+def _factored_roots(coeffs: tuple) -> list:
+    """Exact descriptors of every root of the squarefree part with these
+    coefficients, ascending, from its irreducible factors; a linear part is
+    answered without factoring.
 
     All such roots are real, so a factor of degree k that yields fewer than
     k real roots means the root finder lost one: that raises rather than
     returning a short spectrum.
     """
-    if f.degree == 1:
-        return (Fraction(-f.coeffs[0], f.coeffs[1]),)
-    roots = _real_roots(f.coeffs)
-    if len(roots) != f.degree:
-        raise AssertionError(
-            f"factor {f} of degree {f.degree} yielded {len(roots)} real roots"
-        )
-    return tuple(AlgebraicEigenvalue(f, r) for r in roots)
-
-
-@lru_cache(maxsize=4096)
-def _spectral_factors(coeffs: tuple) -> tuple:
-    """(multiplicity, root descriptors) for each irreducible factor of the
-    integer polynomial with these coefficients, in irreducible_factors'
-    order; memoised, so the result is immutable."""
-    return tuple(
-        (mult, _factor_roots(f)) for f, mult in irreducible_factors(IntPolynomial(coeffs))
-    )
-
-
-def _factored_roots(coeffs: tuple) -> list:
-    """Exact descriptors of every root of the polynomial with these
-    coefficients, ascending, from its irreducible factors."""
-    roots = (lam for _, factor_roots in _spectral_factors(coeffs) for lam in factor_roots)
+    f = IntPolynomial(coeffs)
+    factors = [(f, 1)] if f.degree == 1 else irreducible_factors(f)
+    roots: list = []
+    for factor, _ in factors:
+        if factor.degree == 1:
+            roots.append(Fraction(-factor.coeffs[0], factor.coeffs[1]))
+            continue
+        found = _real_roots(factor.coeffs)
+        if len(found) != factor.degree:
+            raise AssertionError(
+                f"factor {factor} of degree {factor.degree} yielded {len(found)} real roots"
+            )
+        roots.extend(AlgebraicEigenvalue(factor, r) for r in found)
     return sorted(roots, key=eigenvalue_float)
 
 
@@ -1064,18 +1055,12 @@ def _campaign_cstar(cfg: CampaignConfig, rec: _Recorder) -> None:
         if not rec.take(key):
             continue
         a = adjacency_matrix(g)
-        candidates: list = []
-        seen_desc = set()
-        for c in certified_spectrum(a):
-            candidates.append((c.lam, c.multiplicity))
-            seen_desc.add(str(describe_eigenvalue(c.lam)))
+        candidates = [(c.lam, c.multiplicity) for c in certified_spectrum(a)]
         # the doubled cycle eigenvalues are the natural off-spectrum probes:
         # the forward direction of the biconditional must be visible even
         # when the value fails to be an eigenvalue of the whole shape
         for k in range(1, (m + 1) // 2):
             lam = AlgebraicEigenvalue.from_2cos(m, k)
-            if str(describe_eigenvalue(lam)) in seen_desc:
-                continue
             candidates.append((lam, multiplicity(a, lam).multiplicity))
         for lam, mult in candidates:
             pred = cstar_adjacency_predicate(g, lam, cfg.tol)
@@ -1430,10 +1415,10 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
                 if g_obj is None:
                     g_obj = Graph(n, _mask_edges(mask, slots))
                 a = adjacency_matrix(g_obj)
-                for mult, roots in _spectral_factors(charpoly):
+                for f, mult, _ in _spectral_parts(charpoly):
                     if not (need_all or mult == bound - 1):
                         continue
-                    for lam in roots:
+                    for lam in _root_descriptors(f.coeffs):
                         _check_classifier(rec, key, g_obj, a, lam, mult, bound=bound)
 
 

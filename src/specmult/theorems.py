@@ -530,11 +530,11 @@ def lemma_relation_checks(
 
     Raises PatternMismatch (DimensionMismatch on an order mismatch) when b
     is not in S(G), and SideConditionUnmet when the relation's hypotheses do
-    not apply to this instance; that is not a failed check. gain-cycle reads
-    no b: its matrix is built from the probe's gains.
+    not apply to this instance; that is not a failed check. gain-cycle
+    checks the pair too, though its matrix comes from the probe's gains.
     """
     rel = probe.relation
-    if rel != "gain-cycle" and not validate_pattern(b, g):
+    if not validate_pattern(b, g):
         raise PatternMismatch("matrix is not in S(G)")
     tol = probe.tol
     inst = _instance_stub(g, lam)

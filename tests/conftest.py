@@ -19,14 +19,12 @@ def cold_spectral_memos():
     """A memo warmed by an earlier test would bypass the helpers a test
     monkeypatches (_real_roots, irreducible_factors, squarefree_parts, the
     structure functions, poly_divmod) and make its result depend on test
-    order."""
-    oracle._cached_profile.cache_clear()
-    oracle._spectral_factors.cache_clear()
-    oracle._spectral_parts.cache_clear()
-    oracle._root_descriptors.cache_clear()
-    spectra._char_poly_of_tables.cache_clear()
-    spectra._division_count.cache_clear()
-    structure._structure.cache_clear()
+    order. Every memo of these modules is found by its cache_clear, so a
+    new one cannot be missed."""
+    for module in (oracle, spectra, structure):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter):

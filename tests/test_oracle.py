@@ -41,7 +41,15 @@ from specmult.oracle import (
     int_multiplicity_profile,
     run_campaign,
 )
-from specmult.spectra import IntPolynomial, describe_eigenvalue, eigenvalue_float, scaled_char_poly
+from specmult.spectra import (
+    AlgebraicEigenvalue,
+    IntPolynomial,
+    _real_roots,
+    describe_eigenvalue,
+    eigenvalue_float,
+    irreducible_factors,
+    scaled_char_poly,
+)
 from specmult.structure import classify_family, is_tree
 from specmult.theorems import RelationProbe, _form_d_conditions, lemma_relation_checks
 
@@ -385,11 +393,13 @@ def _factored_spectrum(b) -> list:
     ascending, from the irreducible factors of its characteristic
     polynomial: the route that factors everything up front."""
     p, d = scaled_char_poly(b)
-    out = [
-        (mult, d, lam, eigenvalue_float(lam) / d)
-        for mult, roots in oracle_mod._spectral_factors(p.coeffs)
-        for lam in roots
-    ]
+    out = []
+    for f, mult in irreducible_factors(p):
+        if f.degree == 1:
+            lams = [Fraction(-f.coeffs[0], f.coeffs[1])]
+        else:
+            lams = [AlgebraicEigenvalue(f, r) for r in _real_roots(f.coeffs)]
+        out += [(mult, d, lam, eigenvalue_float(lam) / d) for lam in lams]
     return sorted(out, key=lambda c: c[3])
 
 
@@ -471,6 +481,53 @@ def test_certified_spectrum_takes_lost_roots_from_the_factors(monkeypatch):
     assert factored == [part]
     got = [(c.multiplicity, c.scale, c.lam, c.approx) for c in clusters]
     assert got == _factored_spectrum(b)
+
+
+def test_root_descriptors_pair_tightly_clustered_roots_or_raise(monkeypatch):
+    # (x^2 - 2)(985x - 1393): 1393/985 lies 3.6e-7 below sqrt(2)
+    part = IntPolynomial((2786, -1970, -1393, 985))
+    sqrt2 = IntPolynomial((-2, 0, 1))
+    lams = oracle_mod._root_descriptors(part.coeffs)
+    assert lams[1] == Fraction(1393, 985)
+    assert [lam.minpoly for lam in (lams[0], lams[2])] == [sqrt2, sqrt2]
+    assert lams[0].approx < 0 < lams[2].approx
+    # np.roots is off by about 2e-9 here, well inside the 3.6e-7 gap
+    roots = oracle_mod._part_roots(part)
+    assert roots == pytest.approx([eigenvalue_float(lam) for lam in lams], abs=1e-8)
+    # a root finder that moves the rational root 1e-6 up puts it above
+    # sqrt(2): the descriptors no longer fall nearest their own roots
+    oracle_mod._root_descriptors.cache_clear()
+    real = oracle_mod._real_roots
+
+    def shifted(coeffs):
+        found = real(coeffs)
+        if tuple(coeffs) != part.coeffs:
+            return found
+        return sorted(r + 1e-6 if abs(r - 1393 / 985) < 1e-8 else r for r in found)
+
+    monkeypatch.setattr(oracle_mod, "_real_roots", shifted)
+    with pytest.raises(AssertionError, match="lies nearer another root"):
+        oracle_mod._root_descriptors(part.coeffs)
+
+
+def test_connected_sweep_split_agrees_with_the_integer_profile(monkeypatch):
+    """The sweep proves the bound from the Z[x] profile but classifies at the
+    squarefree split's multiplicities, so the two must agree on every
+    charpoly it meets."""
+    charpolys = []
+    real = oracle_mod.int_multiplicity_profile
+
+    def recorded(coeffs):
+        charpolys.append(coeffs)
+        return real(coeffs)
+
+    monkeypatch.setattr(oracle_mod, "int_multiplicity_profile", recorded)
+    summary, _ = _run("connected", cap=6)
+    assert summary["instances"] == 27475
+    assert len(charpolys) == len(set(charpolys)) > 100
+    for c in charpolys:
+        split = {mult: f.degree for f, mult, _ in oracle_mod._spectral_parts(c)}
+        assert split == dict(oracle_mod._cached_profile(c)), c
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +644,8 @@ def _json_sha1(obj) -> str:
     return hashlib.sha1(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def test_connected_sweep_profiles_and_factors_each_charpoly_once(monkeypatch):
-    seen = {"int_multiplicity_profile": [], "irreducible_factors": []}
+def test_connected_sweep_profiles_each_charpoly_and_factors_each_part_once(monkeypatch):
+    seen = {"int_multiplicity_profile": [], "irreducible_factors": [], "squarefree_parts": []}
     for name, calls in seen.items():
         real = getattr(oracle_mod, name)
 
@@ -605,8 +662,12 @@ def test_connected_sweep_profiles_and_factors_each_charpoly_once(monkeypatch):
         for g in enumerate_connected(n)
     }
     assert sorted(seen["int_multiplicity_profile"]) == sorted(charpolys)
+    split = seen["squarefree_parts"]
+    assert len(split) == len(set(split)) and set(split) <= charpolys
+    # the sweep factors squarefree parts only, each at most once
+    parts = {f.coeffs for c in split for f, _, _ in oracle_mod._spectral_parts(c)}
     factored = seen["irreducible_factors"]
-    assert factored and len(factored) == len(set(factored)) and set(factored) <= charpolys
+    assert factored and len(factored) == len(set(factored)) and set(factored) <= parts
 
 
 def test_connected_sweep_cap6_summary_digest():

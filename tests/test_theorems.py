@@ -507,6 +507,15 @@ def test_every_exported_pair_function_rejects_a_mismatched_pair():
                 fn(g, b, Fraction(0), *extra)
     with pytest.raises(DimensionMismatch):
         lemma_relation_checks(cycle_graph(5), adjacency_matrix(path_graph(6)), 0, probe)
+    # gain-cycle builds its own matrix from the gains, but checks the pair too
+    c5 = cycle_graph(5)
+    gain_probe = RelationProbe("gain-cycle", alpha=Fraction(0), gains=gain_graph(c5, {}))
+    for b, error in (
+        (adjacency_matrix(path_graph(6)), DimensionMismatch),
+        (adjacency_matrix(path_graph(5)), PatternMismatch),
+    ):
+        with pytest.raises(error):
+            lemma_relation_checks(c5, b, Fraction(0), gain_probe)
 
 
 def test_relations_constant():
@@ -680,21 +689,23 @@ def test_two_cycle_deletion_relation():
 
 def test_gain_cycle_unit_gain():
     c5 = cycle_graph(5)
+    a = adjacency_matrix(c5)
     phi = gain_graph(c5, {})
     lam = AlgebraicEigenvalue.from_2cos(5, 1)
-    rep = lemma_relation_checks(c5, None, lam, RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
+    rep = lemma_relation_checks(c5, a, lam, RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
     assert rep.holds and rep.lhs == 2
     assert rep.instance["gain_rho_zero"] and rep.instance["matched_index"] == 1
     # non-eigenvalue: multiplicity 0, equality side must also be off
-    rep = lemma_relation_checks(c5, None, Fraction(1), RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
+    rep = lemma_relation_checks(c5, a, Fraction(1), RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
     assert rep.holds and rep.lhs == 0
 
 
 def test_gain_cycle_flipped_edge():
     c5 = cycle_graph(5)
+    a = adjacency_matrix(c5)
     phi = gain_graph(c5, {(0, 1): -1})
     lam = AlgebraicEigenvalue(min_poly_2cos(10, 1), 2 * math.cos(math.pi / 5))
-    rep = lemma_relation_checks(c5, None, lam, RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
+    rep = lemma_relation_checks(c5, a, lam, RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
     assert rep.holds and rep.lhs == 2
     assert rep.instance["gain_rho_pi"] and rep.instance["matched_index"] == 0
 
@@ -702,23 +713,25 @@ def test_gain_cycle_flipped_edge():
 def test_gain_cycle_alpha_shift():
     # lambda = 2a + (1-a) 2cos(2pi/5) at a = 1/2 has minpoly 4x^2 - 6x + 1
     c5 = cycle_graph(5)
+    a = adjacency_matrix(c5)
     phi = gain_graph(c5, {})
     lam = AlgebraicEigenvalue(IntPolynomial((1, -6, 4)), 1.0 + math.cos(2 * math.pi / 5))
-    rep = lemma_relation_checks(c5, None, lam, RelationProbe("gain-cycle", alpha=Fraction(1, 2), gains=phi))
+    rep = lemma_relation_checks(c5, a, lam, RelationProbe("gain-cycle", alpha=Fraction(1, 2), gains=phi))
     assert rep.holds and rep.lhs == 2 and rep.instance["matched_index"] == 1
 
 
 def test_gain_cycle_imaginary_gains():
     c4 = cycle_graph(4)
+    a = adjacency_matrix(c4)
     # two quarter turns compose to a half turn
     phi = gain_graph(c4, {(0, 1): ExactComplex(0, 1), (1, 2): ExactComplex(0, 1)})
     lam = AlgebraicEigenvalue(IntPolynomial((-2, 0, 1)), math.sqrt(2))
-    rep = lemma_relation_checks(c4, None, lam, RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
+    rep = lemma_relation_checks(c4, a, lam, RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
     assert rep.holds and rep.lhs == 2 and rep.instance["gain_rho_pi"]
     # a single quarter turn breaks every doubling
     phi_i = gain_graph(c4, {(0, 1): ExactComplex(0, 1)})
     rep = lemma_relation_checks(
-        c4, None, 2 * math.cos(math.pi / 8), RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi_i)
+        c4, a, 2 * math.cos(math.pi / 8), RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi_i)
     )
     assert rep.holds and rep.lhs == 1
     assert not rep.instance["gain_rho_zero"] and not rep.instance["gain_rho_pi"]
@@ -726,13 +739,17 @@ def test_gain_cycle_imaginary_gains():
 
 def test_gain_cycle_side_conditions():
     c5 = cycle_graph(5)
+    a = adjacency_matrix(c5)
     phi = gain_graph(c5, {})
     with pytest.raises(SideConditionUnmet):  # gains missing
-        lemma_relation_checks(c5, None, Fraction(0), RelationProbe("gain-cycle", alpha=Fraction(0)))
+        lemma_relation_checks(c5, a, Fraction(0), RelationProbe("gain-cycle", alpha=Fraction(0)))
     with pytest.raises(SideConditionUnmet):  # alpha missing
-        lemma_relation_checks(c5, None, Fraction(0), RelationProbe("gain-cycle", gains=phi))
+        lemma_relation_checks(c5, a, Fraction(0), RelationProbe("gain-cycle", gains=phi))
     with pytest.raises(SideConditionUnmet):  # base is not a cycle
         p4 = path_graph(4)
-        lemma_relation_checks(p4, None, Fraction(0), RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
+        lemma_relation_checks(p4, adjacency_matrix(p4), Fraction(0), RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
     with pytest.raises(SideConditionUnmet):  # gains on a different cycle
-        lemma_relation_checks(cycle_graph(4), None, Fraction(0), RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
+        c4 = cycle_graph(4)
+        lemma_relation_checks(
+            c4, adjacency_matrix(c4), Fraction(0), RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi)
+        )
