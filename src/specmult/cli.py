@@ -12,6 +12,11 @@ Eigenvalues: --lambda takes an exact rational ("3", "-5/2", "1.25"; use
 Algebraic eigenvalues take --lambda-minpoly "c0,c1,...,cd" (integer
 coefficients, lowest degree first) with --near FLOAT to pick a real root
 when the polynomial has several.
+
+check reads every relation off the matrix in S(G) (--matrix FILE, or the
+adjacency matrix): gain-cycle takes alpha from its constant diagonal and
+the unit gains from its edge entries, and guvh takes the join to be the
+one edge leaving --left-part.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .graphs import Graph, parse_graph
 from .hermitian import (
     HermitianMatrix,
     adjacency_matrix,
-    gain_graph,
     parse_matrix,
     validate_pattern,
 )
@@ -153,13 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_lambda_flags(sp)
     sp.add_argument("--vertex", type=int, help="witness vertex (interlace-v, pendant-cycle)")
     sp.add_argument("--edge", metavar="U,V", help="witness edge (interlace-e)")
-    sp.add_argument("--left-part", metavar="V1,V2,...", help="left vertex set (guvh)")
-    sp.add_argument("--join", metavar="U,V", help="joining edge (guvh)")
+    sp.add_argument("--left-part", metavar="V1,V2,...", help="left vertex set, one edge out (guvh)")
     sp.add_argument("--path", metavar="V1,V2,...", help="path vertices, leaf first (path-removal)")
-    sp.add_argument("--alpha", metavar="RATIONAL", help="convex-combination weight (gain-cycle)")
-    sp.add_argument(
-        "--gains", metavar="FILE", help="matrix file whose edge entries are the gains (gain-cycle)"
-    )
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--json", action="store_true")
 
@@ -251,26 +250,8 @@ def _cmd_check(args) -> int:
         kw["edge"] = e
     if args.left_part:
         kw["left_part"] = _int_list(args.left_part, "--left-part")
-    if args.join:
-        j = _int_list(args.join, "--join")
-        if len(j) != 2:
-            raise ParameterOutOfRange("--join wants exactly two vertices")
-        kw["join"] = j
     if args.path:
         kw["path"] = _int_list(args.path, "--path")
-    if args.alpha is not None:
-        try:
-            kw["alpha"] = Fraction(args.alpha)
-        except (ValueError, ZeroDivisionError):
-            raise ParameterOutOfRange(f"cannot parse --alpha {args.alpha!r}") from None
-    if args.gains:
-        m = parse_matrix(_read(args.gains), scalar="exact")
-        assignment = {}
-        for u, v in m.pattern.edges:
-            assignment[(u, v)] = m.entries[u][v]
-        kw["gains"] = gain_graph(g, assignment)
-    elif args.relation == "gain-cycle":
-        kw["gains"] = gain_graph(g, {})
     probe = RelationProbe(args.relation, **kw)
     rep = lemma_relation_checks(g, b, lam, probe)
     if args.json:

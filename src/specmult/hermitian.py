@@ -499,10 +499,7 @@ def principal_submatrix(b: HermitianMatrix, keep: Iterable[int]) -> tuple[Hermit
 
 def _format_entry(x: Scalar) -> str:
     if isinstance(x, ExactComplex):
-        if x.im == 0:
-            return str(x.re)
-        sign = "+" if x.im > 0 else "-"
-        return f"{x.re}{sign}{abs(x.im)} i"
+        return str(x)
     z = complex(x)
     if z.imag == 0:
         return repr(z.real)

@@ -22,10 +22,12 @@ Profiles, squarefree splits and the exact root descriptors of a squarefree
 part are pure functions of the exact integer coefficient tuple, and the
 n <= 7 sweep has only 962 distinct characteristic polynomials among
 1,893,731 graphs, so each is memoised by coefficient tuple (_cached_profile,
-_spectral_parts, _root_descriptors). The sweep proves the bound from the
-integer-only profile and classifies each eigenvalue at the multiplicity of
-its squarefree part; certified_spectrum reads the same split. Either way a
-part is factored only when its exact eigenvalues are read. Classifier
+_spectral_parts, and per part _part_roots, _factored_roots and
+_root_descriptors). The sweep proves the bound from the integer-only
+profile and classifies each eigenvalue at the multiplicity of its
+squarefree part; certified_spectrum reads the same split. Either way a part
+is rooted once, and factored once at most: when its exact eigenvalues are
+read, or when the root finder loses one of its roots. Classifier
 verdicts are never reused: every labeled graph is still classified on its
 own.
 
@@ -604,10 +606,12 @@ class CertifiedCluster:
         return hash((self.multiplicity, self.scale))
 
 
-def _factored_roots(coeffs: tuple) -> list:
+@lru_cache(maxsize=4096)
+def _factored_roots(coeffs: tuple) -> tuple:
     """Exact descriptors of every root of the squarefree part with these
     coefficients, ascending, from its irreducible factors; a linear part is
-    answered without factoring.
+    answered without factoring. Memoised, so a part is factored at most
+    once, whether its roots or its descriptors asked first.
 
     All such roots are real, so a factor of degree k that yields fewer than
     k real roots means the root finder lost one: that raises rather than
@@ -626,13 +630,15 @@ def _factored_roots(coeffs: tuple) -> list:
                 f"factor {factor} of degree {factor.degree} yielded {len(found)} real roots"
             )
         roots.extend(AlgebraicEigenvalue(factor, r) for r in found)
-    return sorted(roots, key=eigenvalue_float)
+    return tuple(sorted(roots, key=eigenvalue_float))
 
 
-def _part_roots(f: IntPolynomial) -> tuple:
-    """Every root of a squarefree part f of a Hermitian characteristic
-    polynomial, ascending: a Fraction where it is known exactly (the root of
-    a linear part, or an integer root), a float otherwise.
+@lru_cache(maxsize=4096)
+def _part_roots(coeffs: tuple) -> tuple:
+    """Every root of the squarefree part f with these coefficients (a part
+    of a Hermitian characteristic polynomial), ascending: a Fraction where
+    it is known exactly (the root of a linear part, or an integer root), a
+    float otherwise. Memoised, so a part is rooted once.
 
     All such roots are real. A rounded root k at which f vanishes exactly is
     the integer root k; a squarefree f has it once, so only the float
@@ -640,13 +646,13 @@ def _part_roots(f: IntPolynomial) -> tuple:
     come from f's irreducible factors, which raise if one of them loses a
     root too, so the answer is never short.
     """
+    f = IntPolynomial(coeffs)
     if f.degree == 1:
         return (Fraction(-f.coeffs[0], f.coeffs[1]),)
     roots: list = _real_roots(f.coeffs)
     if len(roots) != f.degree:
         return tuple(
-            lam if isinstance(lam, Fraction) else lam.approx
-            for lam in _factored_roots(f.coeffs)
+            lam if isinstance(lam, Fraction) else lam.approx for lam in _factored_roots(coeffs)
         )
     integer_at: dict[int, int] = {}
     for i, r in enumerate(roots):
@@ -664,15 +670,16 @@ def _part_roots(f: IntPolynomial) -> tuple:
 @lru_cache(maxsize=4096)
 def _root_descriptors(coeffs: tuple) -> tuple:
     """Exact descriptors of the roots of the squarefree part with these
-    coefficients, in the order of _part_roots, so that the descriptor at
-    index i describes root i; memoised, so the part is factored once."""
+    coefficients, paired with the roots _part_roots holds, so that the
+    descriptor at index i describes root i; memoised, so the pairing is
+    checked once."""
     descriptors = _factored_roots(coeffs)
-    roots = [float(r) for r in _part_roots(IntPolynomial(coeffs))]
+    roots = [float(r) for r in _part_roots(coeffs)]
     for i, lam in enumerate(descriptors):
         x = eigenvalue_float(lam)
         if min(range(len(roots)), key=lambda j: abs(roots[j] - x)) != i:
             raise AssertionError(f"root {i} of {IntPolynomial(coeffs)} lies nearer another root")
-    return tuple(descriptors)
+    return descriptors
 
 
 @lru_cache(maxsize=4096)
@@ -681,7 +688,7 @@ def _spectral_parts(coeffs: tuple) -> tuple:
     polynomial with these coefficients, in squarefree_parts' order, with the
     roots of _part_roots; memoised, so the result is immutable."""
     return tuple(
-        (f, mult, _part_roots(f)) for f, mult in squarefree_parts(IntPolynomial(coeffs))
+        (f, mult, _part_roots(f.coeffs)) for f, mult in squarefree_parts(IntPolynomial(coeffs))
     )
 
 
@@ -1152,7 +1159,7 @@ def _campaign_gain_cycles(cfg: CampaignConfig, rec: _Recorder) -> None:
                     )
                 # exact route through the relation check, plus rational probes
                 a_ex = a_alpha_gain(phi, alpha, scalar="exact")
-                probe = RelationProbe("gain-cycle", alpha=alpha, gains=phi, tol=cfg.tol)
+                probe = RelationProbe("gain-cycle", tol=cfg.tol)
                 lams = [lam for lam, _ in targets]
                 lams += [Fraction(v) for v in (-1, 0, 2)]
                 for lam in lams:
@@ -1293,7 +1300,7 @@ def _build_guvh_instance(rng: random.Random):
     edges.append((k - 1, k + vh))
     g = Graph(n, tuple(sorted(tuple(sorted(e)) for e in edges)))
     b = HermitianMatrix(n, tuple(tuple(r) for r in rows), g, "exact")
-    probe = RelationProbe("guvh", left_part=tuple(range(k)), join=(k - 1, k + vh))
+    probe = RelationProbe("guvh", left_part=tuple(range(k)))
     return g, b, lam, probe
 
 
@@ -1310,7 +1317,7 @@ def _campaign_guvh(cfg: CampaignConfig, rec: _Recorder) -> None:
         except SideConditionUnmet as exc:
             rec.check("guvh-identity", False, key, inst, "side conditions hold", str(exc))
             continue
-        rec.check("guvh-identity", rel.holds, key, dict(inst, join=list(probe.join)), rel.rhs, rel.lhs)
+        rec.check("guvh-identity", rel.holds, key, dict(inst, join=rel.instance["join"]), rel.rhs, rel.lhs)
 
 
 def _parse_conn_key(key: str, cap: int) -> tuple[int, int]:

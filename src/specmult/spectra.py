@@ -273,12 +273,25 @@ def _binomial_z2_plus_1(j: int) -> tuple[int, ...]:
     return out
 
 
-def scale_minpoly(mu: IntPolynomial, d: int) -> IntPolynomial:
-    """Monic integer minimal polynomial of d*x given the one of x."""
-    if d == 1:
+def scale_minpoly(mu: IntPolynomial, scale, shift=0) -> IntPolynomial:
+    """The primitive minimal polynomial of shift + scale*x, given the one,
+    mu, of x (scale a nonzero rational, shift a rational); mu itself when
+    shift is 0 and scale 1."""
+    if shift == 0 and scale == 1:
         return mu
     deg = mu.degree
-    return IntPolynomial([mu.coeffs[j] * d ** (deg - j) for j in range(deg + 1)])
+    # scale^deg * mu((y - shift)/scale), expanded exactly
+    acc = [0] * (deg + 1)
+    for j, c in enumerate(mu.coeffs):
+        w = c * scale ** (deg - j)
+        if shift == 0:
+            acc[j] = w
+        else:
+            for k in range(j + 1):
+                acc[k] += w * math.comb(j, k) * (-shift) ** (j - k)
+    if acc[-1] == 1 and all(isinstance(c, int) for c in acc):
+        return IntPolynomial(acc)  # monic over Z, so already primitive
+    return IntPolynomial(poly_primitive_int(acc))
 
 
 def multiplicity_via_minpoly(p: IntPolynomial, mu: IntPolynomial) -> int:
@@ -531,7 +544,7 @@ def _exact_multiplicity(b: HermitianMatrix, ids: Sequence[int], lam) -> Multipli
             re = tuple(tuple(re[i][j] for j in ids) for i in ids)
             im = tuple(tuple(im[i][j] for j in ids) for i in ids)
         charpoly, _ = _char_poly_of_tables(re, im)
-        m = multiplicity_via_minpoly(charpoly, _scaled_minpoly(lam.minpoly, d))
+        m = multiplicity_via_minpoly(charpoly, scale_minpoly(lam.minpoly, d))
         return MultiplicityResult(lam, m, "CharPolyDivision", 0.0)
     lam = Fraction(lam)
     rank = exact_rank(*_shifted(b.cleared, ids, *lam.as_integer_ratio()))
@@ -564,12 +577,6 @@ def _minpoly(lam: EigenvalueLike) -> IntPolynomial:
     return IntPolynomial((-p, q))
 
 
-def _scaled_minpoly(mu: IntPolynomial, d: int) -> IntPolynomial:
-    """The primitive minimal polynomial of d*lambda, given mu of lambda."""
-    nu = scale_minpoly(mu, d)
-    return nu if nu.is_monic else IntPolynomial(poly_primitive_int(nu.coeffs))
-
-
 def deletion_multiplicities(
     b: HermitianMatrix, lam: EigenvalueLike, vertices: Sequence[int], tol: float = 1e-8
 ) -> list[int]:
@@ -586,7 +593,7 @@ def deletion_multiplicities(
     if _takes_exact_route(b, lam):
         d, re, im = b.cleared
         _, deleted = _char_poly_of_tables(re, im)
-        nu = _scaled_minpoly(_minpoly(lam), d)
+        nu = scale_minpoly(_minpoly(lam), d)
         return [multiplicity_via_minpoly(IntPolynomial(deleted[v]), nu) for v in vertices]
     return [
         submatrix_multiplicity(b, [u for u in range(b.n) if u != v], lam, tol) for v in vertices

@@ -25,6 +25,7 @@ from .errors import (
     NotATree,
     NotCStarShape,
     NotUnicyclic,
+    ParameterOutOfRange,
     PatternMismatch,
     SideConditionUnmet,
 )
@@ -40,11 +41,10 @@ from .graphs import (
 )
 from .hermitian import (
     ExactComplex,
-    GainGraph,
     HermitianMatrix,
-    a_alpha_gain,
     adjacency_matrix,
     cycle_gain,
+    gain_graph,
     validate_pattern,
 )
 from .spectra import (
@@ -57,6 +57,7 @@ from .spectra import (
     min_poly_2cos,
     multiplicity,
     poly_primitive_int,
+    scale_minpoly,
     submatrix_multiplicity,
 )
 from .structure import (
@@ -497,20 +498,20 @@ RELATIONS = (
 
 @dataclass(frozen=True)
 class RelationProbe:
-    """Selects one relation check and carries its witnesses.
+    """Selects one relation check and carries the witnesses its caller
+    chooses; everything else the check reads off (g, b).
 
     relation: one of interlace-v, interlace-e, guvh, path-removal,
-    pendant-cycle, theta-infty, gain-cycle.
+    pendant-cycle, theta-infty, gain-cycle. vertex serves interlace-v and
+    pendant-cycle, edge interlace-e, left_part guvh and path path-removal;
+    theta-infty and gain-cycle take no witness.
     """
 
     relation: str
     vertex: Optional[int] = None
     edge: Optional[tuple[int, int]] = None
     left_part: Optional[tuple[int, ...]] = None  # guvh: vertices of the G side
-    join: Optional[tuple[int, int]] = None  # guvh: (u in left part, v in right part)
     path: Optional[tuple[int, ...]] = None
-    alpha: object = None
-    gains: Optional[GainGraph] = None
     tol: float = 1e-8
 
 
@@ -528,10 +529,15 @@ def lemma_relation_checks(
 ) -> CheckReport:
     """Check one deletion/composition/gain relation on a concrete instance.
 
+    Every relation is a statement about b itself. guvh takes its join to
+    be the one edge that crosses the left part, with u in the left part.
+    gain-cycle reads alpha off b's constant diagonal (2*alpha on a cycle)
+    and the unit gains off b's edge entries, divided by 1 - alpha, and
+    reports b's own multiplicity of lambda.
+
     Raises PatternMismatch (DimensionMismatch on an order mismatch) when b
     is not in S(G), and SideConditionUnmet when the relation's hypotheses do
-    not apply to this instance; that is not a failed check. gain-cycle
-    checks the pair too, though its matrix comes from the probe's gains.
+    not apply to this instance; that is not a failed check.
     """
     rel = probe.relation
     if not validate_pattern(b, g):
@@ -558,22 +564,14 @@ def lemma_relation_checks(
         inst["edge"] = [u, v]
         return CheckReport(rel, m <= md + 2, m, md, inst)
     if rel == "guvh":
-        if probe.left_part is None or probe.join is None:
-            raise SideConditionUnmet("needs the left part and the joining edge")
+        if probe.left_part is None:
+            raise SideConditionUnmet("needs the left part")
         left = tuple(sorted(probe.left_part))
-        u, v = probe.join
         left_set = set(left)
-        if u not in left_set or v in left_set:
-            raise SideConditionUnmet("join must run from the left part to the right part")
-        if not g.has_edge(u, v):
-            raise SideConditionUnmet("join endpoints must be adjacent")
-        crossing = [
-            (a, c)
-            for a, c in g.edges
-            if (a in left_set) != (c in left_set)
-        ]
-        if crossing != [tuple(sorted((u, v)))]:
-            raise SideConditionUnmet("the joining edge must be the only crossing edge")
+        crossing = [(a, c) for a, c in g.edges if (a in left_set) != (c in left_set)]
+        if len(crossing) != 1:
+            raise SideConditionUnmet("exactly one edge must cross from the left part")
+        u, v = crossing[0] if crossing[0][0] in left_set else crossing[0][::-1]
         right = [w for w in range(g.n) if w not in left_set]
         if not is_connected(induced_subgraph(g, left).child) or not is_connected(
             induced_subgraph(g, right).child
@@ -641,42 +639,29 @@ def lemma_relation_checks(
         inst["deletions"] = cond.evidence["deletions"]
         return CheckReport(rel, cond.holds, m, 3, inst)
     if rel == "gain-cycle":
-        return _gain_cycle_check(g, lam, probe, inst)
+        return _gain_cycle_check(g, b, lam, tol, inst)
     raise SideConditionUnmet(f"unknown relation {rel!r}")
 
 
-def _affine_minpoly(mu: IntPolynomial, shift: Fraction, scale: Fraction) -> IntPolynomial:
-    """Minimal polynomial of shift + scale*t given the one of t (primitive)."""
-    deg = mu.degree
-    # chi(x) = scale^deg * mu((x - shift)/scale), expanded exactly
-    acc = [Fraction(0)] * (deg + 1)
-    base = [Fraction(1)]
-    for j in range(deg + 1):
-        cj = Fraction(mu.coeffs[j]) * scale ** (deg - j)
-        for k, c in enumerate(base):
-            acc[k] += cj * c
-        nxt = [Fraction(0)] * (len(base) + 1)
-        for k, c in enumerate(base):
-            nxt[k] += -shift * c
-            nxt[k + 1] += c
-        base = nxt
-    return IntPolynomial(poly_primitive_int(acc))
-
-
-def _gain_cycle_check(g: Graph, lam: EigenvalueLike, probe: RelationProbe, inst: dict) -> CheckReport:
-    if probe.gains is None or probe.alpha is None:
-        raise SideConditionUnmet("needs gains and alpha")
+def _gain_cycle_check(
+    g: Graph, b: HermitianMatrix, lam: EigenvalueLike, tol: float, inst: dict
+) -> CheckReport:
+    """The gain-cycle relation on b = alpha*D + (1 - alpha)*A(phi), with
+    alpha and the gains phi read off b itself."""
     if not is_cycle_graph(g):
         raise SideConditionUnmet("needs a cycle base graph")
-    phi = probe.gains
-    if phi.base != g:
-        raise SideConditionUnmet("gain graph must live on the given cycle")
-    tol = probe.tol
-    exact_gain = all(isinstance(x, ExactComplex) for x in phi.gains)
-    alpha = probe.alpha
-    exact_mode = exact_gain and not isinstance(alpha, float)
-    mat = a_alpha_gain(phi, alpha, scalar="exact" if exact_mode else "approx")
-    m = _mult(mat, lam, tol)
+    exact_mode = b.is_exact
+    diagonal = {x.re if exact_mode else x.real for x in (b.entries[v][v] for v in range(g.n))}
+    if len(diagonal) != 1:
+        raise SideConditionUnmet("the diagonal must be constant, 2*alpha on a cycle")
+    alpha = diagonal.pop() / 2
+    if not 0 <= alpha < 1:
+        raise SideConditionUnmet(f"alpha {alpha} read off the diagonal is outside [0, 1)")
+    try:
+        phi = gain_graph(g, {(u, v): b.entries[u][v] / (1 - alpha) for u, v in g.edges})
+    except ParameterOutOfRange as exc:
+        raise SideConditionUnmet(f"edge entries are not (1 - alpha) times unit gains: {exc}") from None
+    m = _mult(b, lam, tol)
     gain = cycle_gain(phi).value
     if isinstance(gain, ExactComplex):
         rho_zero = gain == ExactComplex(1, 0)
@@ -684,10 +669,9 @@ def _gain_cycle_check(g: Graph, lam: EigenvalueLike, probe: RelationProbe, inst:
     else:
         rho_zero = abs(gain - 1) <= tol
         rho_pi = abs(gain + 1) <= tol
-    n = g.n
     matched = None
     if rho_zero or rho_pi:
-        matched = _match_gain_eigenvalue(n, alpha, lam, rho_pi, tol, exact_mode)
+        matched = _match_gain_eigenvalue(g.n, alpha, lam, rho_pi, tol, exact_mode)
     equality_side = (rho_zero or rho_pi) and matched is not None
     holds = m <= 2 and ((m == 2) == equality_side)
     inst["alpha"] = str(alpha)
@@ -709,7 +693,7 @@ def _gain_closed_forms(n: int, alpha, rho_pi: bool) -> list[tuple]:
     out = []
     for j in range(0, n // 2) if rho_pi else range(1, (n + 1) // 2):
         mu = min_poly_2cos(2 * n, 2 * j + 1) if rho_pi else min_poly_2cos(n, j)
-        chi = _affine_minpoly(mu, 2 * a, 1 - a)
+        chi = scale_minpoly(mu, 1 - a, 2 * a)
         ang = (2 * j + 1) * math.pi / n if rho_pi else 2 * j * math.pi / n
         val = 2.0 * float(a) + 2.0 * (1.0 - float(a)) * math.cos(ang)
         if chi.degree == 1:

@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import specmult.cli as cli_mod
 from specmult.cli import main
 from specmult.graphs import cycle_graph, serialize_graph, tadpole_graph
-from specmult.hermitian import adjacency_matrix, serialize_matrix
+from specmult.hermitian import a_alpha_gain, adjacency_matrix, gain_graph, serialize_matrix
 
 
 @pytest.fixture()
@@ -139,12 +140,41 @@ def test_check_relation(capsys, c5_file):
 def test_check_gain_cycle_defaults_to_unit_gains(capsys, c5_file):
     argv = [
         "check", "--relation", "gain-cycle", "--graph", c5_file,
-        "--lambda-minpoly=-1,1,1", "--near", "0.6", "--alpha", "0", "--json",
+        "--lambda-minpoly=-1,1,1", "--near", "0.6", "--json",
     ]
     code, out, _ = _run(capsys, argv)
     payload = json.loads(out)
     assert code == 0 and payload["holds"] is True
     assert payload["instance"]["gain_rho_zero"] is True
+
+
+def test_check_gain_cycle_reads_alpha_and_gains_off_the_matrix(capsys, tmp_path, c5_file):
+    mpath = tmp_path / "a_half.matrix"
+    a_half = a_alpha_gain(gain_graph(cycle_graph(5), {}), Fraction(1, 2), "exact")
+    mpath.write_text(serialize_matrix(a_half))
+    base = [
+        "check", "--relation", "gain-cycle", "--graph", c5_file, "--matrix", str(mpath), "--json",
+    ]
+    # 2cos(2pi/5) doubles in A(C5) but is no eigenvalue of A_1/2
+    code, out, _ = _run(capsys, base + ["--lambda-minpoly=-1,1,1", "--near", "0.6"])
+    payload = json.loads(out)
+    assert code == 0 and payload["holds"] is True and payload["lhs"] == 0
+    assert payload["instance"]["alpha"] == "1/2"
+    # 1 + cos(2pi/5), a root of 4x^2 - 6x + 1, doubles in A_1/2
+    code, out, _ = _run(capsys, base + ["--lambda-minpoly=1,-6,4", "--near", "1.3"])
+    payload = json.loads(out)
+    assert code == 0 and payload["holds"] is True and payload["lhs"] == 2
+    assert payload["instance"]["matched_index"] == 1
+
+
+def test_check_takes_no_alpha_gains_or_join(capsys, c5_file):
+    """alpha and the gains are read off the matrix and the join off the
+    left part, so no flag supplies them."""
+    base = ["check", "--relation", "gain-cycle", "--graph", c5_file, "--lambda", "0"]
+    for extra in (["--alpha", "0"], ["--gains", c5_file], ["--join", "0,1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2
 
 
 def test_check_side_condition_unmet(capsys, c5_file):

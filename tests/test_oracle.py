@@ -483,6 +483,21 @@ def test_certified_spectrum_takes_lost_roots_from_the_factors(monkeypatch):
     assert got == _factored_spectrum(b)
 
 
+def test_a_part_that_loses_a_root_is_factored_once(monkeypatch):
+    """The lost-root fallback and the exact descriptors share one factoring
+    of the part, however many lam are read."""
+    part = (1, 0, -3, 0, 1)
+    real = oracle_mod._real_roots
+    monkeypatch.setattr(
+        oracle_mod, "_real_roots", lambda c: real(c)[:-1] if tuple(c) == part else real(c)
+    )
+    factored = _count_factor_calls(monkeypatch)
+    clusters = certified_spectrum(adjacency_matrix(cycle_graph(10)))
+    lams = [c.lam for c in clusters]
+    assert [lam.minpoly.coeffs for lam in lams[1:5]] == [(-1, 1, 1), (-1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
+    assert factored.count(part) == 1
+
+
 def test_root_descriptors_pair_tightly_clustered_roots_or_raise(monkeypatch):
     # (x^2 - 2)(985x - 1393): 1393/985 lies 3.6e-7 below sqrt(2)
     part = IntPolynomial((2786, -1970, -1393, 985))
@@ -492,11 +507,12 @@ def test_root_descriptors_pair_tightly_clustered_roots_or_raise(monkeypatch):
     assert [lam.minpoly for lam in (lams[0], lams[2])] == [sqrt2, sqrt2]
     assert lams[0].approx < 0 < lams[2].approx
     # np.roots is off by about 2e-9 here, well inside the 3.6e-7 gap
-    roots = oracle_mod._part_roots(part)
+    roots = oracle_mod._part_roots(part.coeffs)
     assert roots == pytest.approx([eigenvalue_float(lam) for lam in lams], abs=1e-8)
     # a root finder that moves the rational root 1e-6 up puts it above
     # sqrt(2): the descriptors no longer fall nearest their own roots
     oracle_mod._root_descriptors.cache_clear()
+    oracle_mod._part_roots.cache_clear()
     real = oracle_mod._real_roots
 
     def shifted(coeffs):

@@ -108,6 +108,30 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def test_every_relation_probe_field_is_read():
+    """A RelationProbe field that no relation check reads is a witness the
+    caller supplies for nothing; every field must be read as probe.<field>
+    in theorems.py."""
+    tree = ast.parse((SRC / "theorems.py").read_text(encoding="utf-8"))
+    cls = next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "RelationProbe"
+    )
+    fields = [
+        node.target.id
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    ]
+    read = {
+        sub.attr
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute)
+        and isinstance(sub.ctx, ast.Load)
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id == "probe"
+    }
+    assert fields and [f for f in fields if f not in read] == []
+
+
 def test_importing_the_package_leaves_sympy_unloaded():
     """sympy is imported inside the functions that factor or split a
     polynomial, so that a run which never does either pays nothing for it."""

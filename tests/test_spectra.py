@@ -134,6 +134,11 @@ def test_scale_minpoly():
     assert mu.coeffs == (-1, 1, 1)
     nu = scale_minpoly(mu, 3)
     assert nu.coeffs == (-9, 3, 1)
+    assert scale_minpoly(mu, 1) is mu
+    # 1 + x/2, the doubled A_1/2 eigenvalue of C5: 4y^2 - 6y + 1
+    assert scale_minpoly(mu, Fraction(1, 2), 1).coeffs == (1, -6, 4)
+    # a rational root: the primitive q*y - p of 2/3 - 3*(1/2) = -5/6
+    assert scale_minpoly(IntPolynomial((-1, 2)), -3, Fraction(2, 3)).coeffs == (5, 6)
 
 
 def test_multiplicity_via_minpoly_handles_non_monic():

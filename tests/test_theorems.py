@@ -33,6 +33,7 @@ from specmult.graphs import (
 from specmult.hermitian import (
     ExactComplex,
     HermitianMatrix,
+    a_alpha_gain,
     adjacency_matrix,
     gain_graph,
     random_in_S,
@@ -507,9 +508,9 @@ def test_every_exported_pair_function_rejects_a_mismatched_pair():
                 fn(g, b, Fraction(0), *extra)
     with pytest.raises(DimensionMismatch):
         lemma_relation_checks(cycle_graph(5), adjacency_matrix(path_graph(6)), 0, probe)
-    # gain-cycle builds its own matrix from the gains, but checks the pair too
+    # gain-cycle reads alpha and the gains off b, so it checks the pair first
     c5 = cycle_graph(5)
-    gain_probe = RelationProbe("gain-cycle", alpha=Fraction(0), gains=gain_graph(c5, {}))
+    gain_probe = RelationProbe("gain-cycle")
     for b, error in (
         (adjacency_matrix(path_graph(6)), DimensionMismatch),
         (adjacency_matrix(path_graph(5)), PatternMismatch),
@@ -589,48 +590,40 @@ def test_composition_transfer():
     the left block but not on the left block minus the join vertex."""
     p5 = path_graph(5)
     b = adjacency_matrix(p5)
-    rep = lemma_relation_checks(
-        p5, b, Fraction(1), RelationProbe("guvh", left_part=(0, 1), join=(1, 2))
-    )
+    rep = lemma_relation_checks(p5, b, Fraction(1), RelationProbe("guvh", left_part=(0, 1)))
     assert rep.holds and rep.lhs == rep.rhs == 1
+    # the join is the one edge leaving the left part, u on the left side
+    assert rep.instance["join"] == [1, 2]
+    rep = lemma_relation_checks(p5, b, Fraction(1), RelationProbe("guvh", left_part=(4, 3)))
+    assert rep.holds and rep.instance["join"] == [3, 2]
 
 
 def test_composition_side_conditions():
     p5 = path_graph(5)
     b = adjacency_matrix(p5)
-    probes = [
-        RelationProbe("guvh"),  # witnesses missing
-        RelationProbe("guvh", left_part=(0, 1), join=(2, 3)),  # u outside left
-        RelationProbe("guvh", left_part=(0, 1), join=(1, 3)),  # join not an edge
-    ]
-    for probe in probes:
-        with pytest.raises(SideConditionUnmet):
-            lemma_relation_checks(p5, b, Fraction(1), probe)
+    with pytest.raises(SideConditionUnmet):  # left part missing
+        lemma_relation_checks(p5, b, Fraction(1), RelationProbe("guvh"))
     # more than one crossing edge
     c4 = cycle_graph(4)
     with pytest.raises(SideConditionUnmet):
         lemma_relation_checks(
-            c4, adjacency_matrix(c4), Fraction(0),
-            RelationProbe("guvh", left_part=(0, 1), join=(1, 2)),
+            c4, adjacency_matrix(c4), Fraction(0), RelationProbe("guvh", left_part=(0, 1))
         )
     # disconnected left side
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
     with pytest.raises(SideConditionUnmet):
         lemma_relation_checks(
-            g, adjacency_matrix(g), Fraction(1),
-            RelationProbe("guvh", left_part=(0, 1, 3, 4), join=(1, 2)),
+            g, adjacency_matrix(g), Fraction(1), RelationProbe("guvh", left_part=(0, 1, 3, 4))
         )
     # lambda absent from the left part
     with pytest.raises(SideConditionUnmet):
-        lemma_relation_checks(
-            p5, b, Fraction(5), RelationProbe("guvh", left_part=(0, 1), join=(1, 2))
-        )
+        lemma_relation_checks(p5, b, Fraction(5), RelationProbe("guvh", left_part=(0, 1)))
     # lambda still present after dropping the join vertex
     star_tail = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
     with pytest.raises(SideConditionUnmet):
         lemma_relation_checks(
             star_tail, adjacency_matrix(star_tail), Fraction(0),
-            RelationProbe("guvh", left_part=(0, 1, 2), join=(0, 3)),
+            RelationProbe("guvh", left_part=(0, 1, 2)),
         )
 
 
@@ -687,25 +680,28 @@ def test_two_cycle_deletion_relation():
         lemma_relation_checks(bow, adjacency_matrix(bow), Fraction(0), RelationProbe("theta-infty"))
 
 
+def _a_alpha(g, assignment, alpha):
+    """The exact A_alpha matrix of g with these gains (1 on the others)."""
+    return a_alpha_gain(gain_graph(g, assignment), alpha, scalar="exact")
+
+
 def test_gain_cycle_unit_gain():
     c5 = cycle_graph(5)
-    a = adjacency_matrix(c5)
-    phi = gain_graph(c5, {})
+    a = _a_alpha(c5, {}, Fraction(0))
     lam = AlgebraicEigenvalue.from_2cos(5, 1)
-    rep = lemma_relation_checks(c5, a, lam, RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
+    rep = lemma_relation_checks(c5, a, lam, RelationProbe("gain-cycle"))
     assert rep.holds and rep.lhs == 2
     assert rep.instance["gain_rho_zero"] and rep.instance["matched_index"] == 1
     # non-eigenvalue: multiplicity 0, equality side must also be off
-    rep = lemma_relation_checks(c5, a, Fraction(1), RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
+    rep = lemma_relation_checks(c5, a, Fraction(1), RelationProbe("gain-cycle"))
     assert rep.holds and rep.lhs == 0
 
 
 def test_gain_cycle_flipped_edge():
     c5 = cycle_graph(5)
-    a = adjacency_matrix(c5)
-    phi = gain_graph(c5, {(0, 1): -1})
+    a = _a_alpha(c5, {(0, 1): -1}, Fraction(0))
     lam = AlgebraicEigenvalue(min_poly_2cos(10, 1), 2 * math.cos(math.pi / 5))
-    rep = lemma_relation_checks(c5, a, lam, RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
+    rep = lemma_relation_checks(c5, a, lam, RelationProbe("gain-cycle"))
     assert rep.holds and rep.lhs == 2
     assert rep.instance["gain_rho_pi"] and rep.instance["matched_index"] == 0
 
@@ -713,43 +709,65 @@ def test_gain_cycle_flipped_edge():
 def test_gain_cycle_alpha_shift():
     # lambda = 2a + (1-a) 2cos(2pi/5) at a = 1/2 has minpoly 4x^2 - 6x + 1
     c5 = cycle_graph(5)
-    a = adjacency_matrix(c5)
-    phi = gain_graph(c5, {})
+    a = _a_alpha(c5, {}, Fraction(1, 2))
     lam = AlgebraicEigenvalue(IntPolynomial((1, -6, 4)), 1.0 + math.cos(2 * math.pi / 5))
-    rep = lemma_relation_checks(c5, a, lam, RelationProbe("gain-cycle", alpha=Fraction(1, 2), gains=phi))
+    rep = lemma_relation_checks(c5, a, lam, RelationProbe("gain-cycle"))
     assert rep.holds and rep.lhs == 2 and rep.instance["matched_index"] == 1
+    assert rep.instance["alpha"] == "1/2"
+
+
+def test_gain_cycle_reports_the_multiplicity_in_its_own_matrix():
+    """The check answers on b itself: 2cos(2pi/5) doubles in A(C5) but is
+    no eigenvalue of A_1/2 = I + A/2, exact or floating."""
+    c5 = cycle_graph(5)
+    lam = AlgebraicEigenvalue.from_2cos(5, 1)
+    for b in (_a_alpha(c5, {}, Fraction(1, 2)), a_alpha_gain(gain_graph(c5, {}), 0.5)):
+        rep = lemma_relation_checks(c5, b, lam, RelationProbe("gain-cycle"))
+        assert rep.holds and rep.lhs == 0 and rep.instance["matched_index"] is None
+        assert rep.instance["gain_rho_zero"] and Fraction(rep.instance["alpha"]) == Fraction(1, 2)
 
 
 def test_gain_cycle_imaginary_gains():
     c4 = cycle_graph(4)
-    a = adjacency_matrix(c4)
     # two quarter turns compose to a half turn
-    phi = gain_graph(c4, {(0, 1): ExactComplex(0, 1), (1, 2): ExactComplex(0, 1)})
+    a = _a_alpha(c4, {(0, 1): ExactComplex(0, 1), (1, 2): ExactComplex(0, 1)}, Fraction(0))
     lam = AlgebraicEigenvalue(IntPolynomial((-2, 0, 1)), math.sqrt(2))
-    rep = lemma_relation_checks(c4, a, lam, RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
+    rep = lemma_relation_checks(c4, a, lam, RelationProbe("gain-cycle"))
     assert rep.holds and rep.lhs == 2 and rep.instance["gain_rho_pi"]
     # a single quarter turn breaks every doubling
-    phi_i = gain_graph(c4, {(0, 1): ExactComplex(0, 1)})
-    rep = lemma_relation_checks(
-        c4, a, 2 * math.cos(math.pi / 8), RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi_i)
-    )
+    a_i = _a_alpha(c4, {(0, 1): ExactComplex(0, 1)}, Fraction(0))
+    rep = lemma_relation_checks(c4, a_i, 2 * math.cos(math.pi / 8), RelationProbe("gain-cycle"))
     assert rep.holds and rep.lhs == 1
     assert not rep.instance["gain_rho_zero"] and not rep.instance["gain_rho_pi"]
+
+
+def _rows_map(b, fn) -> HermitianMatrix:
+    """The exact matrix with entry (i, j) replaced by fn(i, j, entry)."""
+    return HermitianMatrix.from_rows(
+        [[fn(i, j, x) for j, x in enumerate(row)] for i, row in enumerate(b.entries)]
+    )
 
 
 def test_gain_cycle_side_conditions():
     c5 = cycle_graph(5)
     a = adjacency_matrix(c5)
-    phi = gain_graph(c5, {})
-    with pytest.raises(SideConditionUnmet):  # gains missing
-        lemma_relation_checks(c5, a, Fraction(0), RelationProbe("gain-cycle", alpha=Fraction(0)))
-    with pytest.raises(SideConditionUnmet):  # alpha missing
-        lemma_relation_checks(c5, a, Fraction(0), RelationProbe("gain-cycle", gains=phi))
+    probe = RelationProbe("gain-cycle")
+    # 3*A(C5): alpha 0, but edge entries of modulus 3 are no unit gains
+    with pytest.raises(SideConditionUnmet, match="unit gains"):
+        lemma_relation_checks(c5, _rows_map(a, lambda i, j, x: 3 * x), Fraction(0), probe)
+    # a diagonal that is not constant names no alpha
+    bumped = _rows_map(a, lambda i, j, x: x + 1 if i == j == 0 else x)
+    with pytest.raises(SideConditionUnmet, match="constant"):
+        lemma_relation_checks(c5, bumped, Fraction(0), probe)
+    # a constant diagonal 2*alpha with alpha outside [0, 1)
+    for d in (2, -2):
+        shifted = _rows_map(a, lambda i, j, x: x + d if i == j else x)
+        with pytest.raises(SideConditionUnmet, match="outside"):
+            lemma_relation_checks(c5, shifted, Fraction(0), probe)
     with pytest.raises(SideConditionUnmet):  # base is not a cycle
         p4 = path_graph(4)
-        lemma_relation_checks(p4, adjacency_matrix(p4), Fraction(0), RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi))
-    with pytest.raises(SideConditionUnmet):  # gains on a different cycle
-        c4 = cycle_graph(4)
-        lemma_relation_checks(
-            c4, adjacency_matrix(c4), Fraction(0), RelationProbe("gain-cycle", alpha=Fraction(0), gains=phi)
-        )
+        lemma_relation_checks(p4, adjacency_matrix(p4), Fraction(0), probe)
+    # a gain matrix on a different cycle is no matrix in S(G)
+    other = _a_alpha(Graph(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]), {}, Fraction(0))
+    with pytest.raises(PatternMismatch):
+        lemma_relation_checks(c5, other, Fraction(0), probe)
