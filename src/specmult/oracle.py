@@ -548,8 +548,21 @@ def _cached_profile(coeffs: tuple) -> Mapping[int, int]:
 
 def _batched_charpoly(a_batch: np.ndarray) -> np.ndarray:
     """Characteristic polynomials of a batch of small integer symmetric
-    matrices (Faddeev-LeVerrier), coefficients lowest degree first."""
+    matrices (Faddeev-LeVerrier), coefficients lowest degree first.
+
+    The recursion runs in int64 and is exact while n*(2R)^n < 2**63, R
+    the largest absolute row sum in the batch (the largest degree, on 0/1
+    adjacency tables), which is asserted. Proof: |lambda| <= R for every
+    eigenvalue and ||A^i||_inf <= R^i, so |c_(n-j)| <= C(n, j) R^j and the
+    iterate M_k = sum_(j <= k) c_(n-j) A^(k-j) has ||M_k||_inf <= 2^n R^k.
+    Every partial sum of an entry of A M_(k-1) is then at most
+    R * 2^n R^(k-1), and every partial sum of its trace at most n 2^n R^k,
+    which for k <= n and R >= 1 is at most n*(2R)^n.
+    """
     cnt, n, _ = a_batch.shape
+    radius = int(np.abs(a_batch).sum(axis=2).max(initial=0))
+    if n * (2 * radius) ** n >= 2**63:
+        raise AssertionError("batched charpoly could overflow int64")
     coeffs = np.zeros((cnt, n + 1), dtype=np.int64)
     coeffs[:, n] = 1
     m = np.broadcast_to(np.eye(n, dtype=np.int64), a_batch.shape).copy()

@@ -15,7 +15,13 @@ in Z as q*(d*B) - p*d*I, and one fraction-free Bareiss kernel takes the
 rank; it computes no entry whose operands are both 0. Algebraic
 eigenvalues, described by their minimal polynomial, go through the one
 integer characteristic polynomial route, Faddeev-LeVerrier on d*B (or on
-the slice), and division by the minimal polynomial of d*lambda.
+the slice), and division by the minimal polynomial of d*lambda. The
+recursion runs multimodularly: over F_p for as many primes p = 1 (mod 4)
+below 2**26 as a proven coefficient bound needs, i standing for a square
+root of -1 mod p, each step one batched int64 numpy product over all the
+primes; Garner's CRT lifts the residues to the exact integers, and three
+identities (the two top coefficients from the entries, and Jacobi's
+formula for the deleted charpolys) are asserted on the result.
 deletion_multiplicities reads the charpolys of every B - v off the same
 run and divides them the same way, a rational p/q taking the minimal
 polynomial q*x - p. Two memos hold pure functions of integer tuples: the
@@ -40,6 +46,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import AmbiguousCluster, ConvergenceFailure, IndexOutOfRange, ParameterOutOfRange
 from .hermitian import HermitianMatrix, IntTable, _clear_denominators, principal_submatrix
@@ -115,8 +123,6 @@ def _real_roots(coeffs: Sequence[int]) -> list[float]:
     Roots whose computed imaginary part reaches 1e-9 are dropped as
     non-real; callers that know every root is real must check the count.
     """
-    import numpy as np
-
     arr = np.roots(list(reversed(coeffs)))
     return sorted(float(r.real) for r in arr if abs(complex(r).imag) < 1e-9)
 
@@ -321,7 +327,87 @@ def _division_count(p: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exact characteristic polynomial (Faddeev-LeVerrier over Gaussian integers)
+# Exact characteristic polynomial (multimodular Faddeev-LeVerrier)
+
+_MODULUS_BITS = 26  # every prime is below 2**26, so (n + 1)*(p - 1)**2 < 2**63 while n <= 2047
+_MAX_ORDER = 2047
+
+
+@lru_cache(maxsize=None)
+def _prime_table(count: int) -> tuple[tuple[int, int], ...]:
+    """The count largest primes p = 1 (mod 4) below 2**26, descending, each
+    with a square root s of -1 mod p, which exists because 4 divides p - 1:
+    s = a^((p-1)/4) for the least quadratic non-residue a."""
+    out = []
+    p = (1 << _MODULUS_BITS) - 3
+    while len(out) < count:
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):  # p is odd
+            a = 2
+            while pow(a, (p - 1) // 2, p) != p - 1:
+                a += 1
+            out.append((p, pow(a, (p - 1) // 4, p)))
+        p -= 4
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class _Moduli:
+    """The tables one kernel run over count primes at order n reads: the
+    primes and roots of -1 shaped to broadcast over (count, n, n) stacks,
+    -1/k mod p for k = 1..n, Garner's inverses, and the product of the
+    primes."""
+
+    primes: tuple[int, ...]
+    p3: object  # (count, 1, 1) int64
+    s3: object  # (count, 1, 1) int64
+    neg_inv: object  # (n + 1, count, 1) int64: -1/k mod p at [k]
+    garner: tuple[int, ...]  # 1/(p_0 ... p_(i-1)) mod p_i for i >= 1
+    modulus: int
+
+
+@lru_cache(maxsize=256)
+def _moduli(count: int, n: int) -> _Moduli:
+    primes, roots = zip(*_prime_table(count))
+    col = np.array(primes, dtype=np.int64).reshape(count, 1, 1)
+    roots = np.array(roots, dtype=np.int64).reshape(count, 1, 1)
+    neg_inv = np.zeros((n + 1, count, 1), dtype=np.int64)
+    for k in range(1, n + 1):
+        neg_inv[k, :, 0] = [-pow(k, -1, p) % p for p in primes]
+    garner = tuple(pow(math.prod(primes[:i]), -1, primes[i]) for i in range(1, count))
+    return _Moduli(primes, col, roots, neg_inv, garner, math.prod(primes))
+
+
+def _moduli_beyond(bound: int, n: int) -> _Moduli:
+    """The tables for the fewest primes whose product exceeds bound. Each
+    prime is below 2**26, so the search starts at the least count whose
+    product could."""
+    count = (bound.bit_length() - 1) // _MODULUS_BITS + 1
+    while _moduli(count, n).modulus <= bound:
+        count += 1
+    return _moduli(count, n)
+
+
+def _garner_lift(res, mod: _Moduli) -> list[int]:
+    """The integers in the symmetric range (-M/2, M/2), M the product of the
+    primes, with residues res[i] mod primes[i] (Garner's mixed-radix CRT;
+    J. von zur Gathen and J. Gerhard, Modern Computer Algebra, ch. 5).
+
+    The mixed-radix digits are worked out in int64, where every product is
+    of two numbers below 2**26; only a number of three or more digits is
+    assembled from Python ints.
+    """
+    primes = mod.primes
+    digits = [res[0]]
+    for i in range(1, len(primes)):
+        p = primes[i]
+        t = digits[-1] % p
+        for j in range(i - 2, -1, -1):
+            t = (t * primes[j] + digits[j]) % p
+        digits.append((res[i] - t) * mod.garner[i - 1] % p)
+    acc = digits[-1] if len(primes) <= 2 else digits[-1].astype(object)
+    for j in range(len(primes) - 2, -1, -1):
+        acc = acc * primes[j] + digits[j]
+    return np.where(acc > mod.modulus // 2, acc - mod.modulus, acc).tolist()
 
 
 def _faddeev_leverrier(
@@ -331,47 +417,85 @@ def _faddeev_leverrier(
     the coefficients (lowest degree first) of det(xI - C_v) for every v,
     where C_v deletes row and column v.
 
-    The iterates M_0 = I, M_k = C M_(k-1) + c_(n-k) I are the coefficients
-    of adj(xI - C) = sum_k M_k x^(n-1-k), and the (v, v) entry of the
-    adjugate is det(xI - C_v) (C. D. Godsil, Algebraic Combinatorics, 1993),
-    so the deleted polynomials cost no product beyond the charpoly's own.
+    The iterates M_0 = I, M_k = C M_(k-1) + c_(n-k) I, c_(n-k) =
+    -tr(C M_(k-1))/k, are the coefficients of adj(xI - C) = sum_k M_k
+    x^(n-1-k), and the (v, v) entry of the adjugate is det(xI - C_v)
+    (C. D. Godsil, Algebraic Combinatorics, 1993), so the deleted
+    polynomials cost no product beyond the charpoly's own.
+
+    The recursion runs over F_p for several primes p = 1 (mod 4) below
+    2**26 at once, where i is a square root s of -1 mod p and C is the one
+    matrix cre + s*cim: each step is one batched int64 product of the
+    (primes, n, n) stack, reduced mod p. Entries stay below p, the
+    iterate's diagonal below 2p, so an entry of a product sums to less than
+    (n + 1)(p - 1)^2 and cannot overflow int64 while n <= 2047; a larger
+    order raises ParameterOutOfRange.
+
+    The residues are lifted exactly. A coefficient of det(xI - X), X
+    Hermitian of order m, is +-e_k of its real eigenvalues mu, and
+    |e_k(mu)| <= e_k(|mu|) <= C(m, k) (sum |mu|/m)^k (Maclaurin's
+    inequality) <= C(m, k) (sum mu^2/m)^(k/2), where sum mu^2 = tr X^2 =
+    sum |x_ij|^2. For X = C (m = n) and X = C_v (m = n - 1, whose entries
+    are among C's) that sum is at most F^2 = sum (re_ij^2 + im_ij^2), so
+    with r >= F/sqrt(max(n - 1, 1)) every coefficient of every polynomial
+    is at most (1 + r)^n in absolute value. The primes are taken until
+    their product exceeds 2(1 + r)^n, and Garner's CRT returns the
+    symmetric residues, which are then the coefficients.
+
+    Three exact identities are asserted after the lift, raising
+    AssertionError when one fails: c_(n-1) = -tr C; c_(n-2) = (t^2 -
+    sum |c_ij|^2)/2 with t = tr C, since tr C^2 = sum |c_ij|^2 for a
+    Hermitian C; and sum_v det(xI - C_v) = p'(x) (Jacobi's formula).
     """
     n = len(cre)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    deleted = [[0] * n for _ in range(n)]
-    mre = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    mim = [[0] * n for _ in range(n)]
-    rng = range(n)
-    for k in range(1, n + 1):
-        for v in rng:
-            deleted[v][n - k] = mre[v][v]
-        nre = [[0] * n for _ in rng]
-        nim = [[0] * n for _ in rng]
-        for i in rng:
-            cri, cii = cre[i], cim[i]
-            nri, nii = nre[i], nim[i]
-            for t in rng:
-                ar, ai = cri[t], cii[t]
-                if ar == 0 and ai == 0:
-                    continue
-                mrt, mit = mre[t], mim[t]
-                for j in rng:
-                    br, bi = mrt[j], mit[j]
-                    nri[j] += ar * br - ai * bi
-                    nii[j] += ar * bi + ai * br
-        tr_re = sum(nre[i][i] for i in rng)
-        tr_im = sum(nim[i][i] for i in rng)
-        if tr_im != 0:
-            raise AssertionError("Hermitian trace came out non-real")
-        if tr_re % k != 0:
-            raise AssertionError("trace not divisible in exact recursion")
-        c = -(tr_re // k)
-        coeffs[n - k] = c
-        for i in rng:
-            nre[i][i] += c
-        mre, mim = nre, nim
-    return IntPolynomial(coeffs), tuple(tuple(p) for p in deleted)
+    if n > _MAX_ORDER:
+        raise ParameterOutOfRange(f"exact characteristic polynomial needs order <= {_MAX_ORDER}, got {n}")
+    if n == 0:
+        return IntPolynomial((1,)), ()
+    sq = sum(x * x for row in cre for x in row) + sum(x * x for row in cim for x in row)
+    r = math.isqrt(sq // max(n - 1, 1)) + 1
+    mod = _moduli_beyond(2 * (1 + r) ** n, n)
+    count, p3 = len(mod.primes), mod.p3
+    p2 = p3[:, :, 0]
+    # entries of any size are reduced mod p before they go to int64; each
+    # is at most sqrt(sq) in absolute value
+    dtype = np.int64 if sq < 1 << 126 else object
+    parts = (np.array((cre, cim), dtype=dtype) % p3[:, None]).astype(np.int64, copy=False)
+    a = parts[:, 0] + mod.s3 * parts[:, 1]
+    a %= p3
+    w = n + 1
+    # res[:, 0] holds the charpoly's coefficients, res[:, 1 + v] those of
+    # det(xI - C_v) (degree n - 1, padded with a 0); M_0 = I gives the
+    # leading 1s
+    res = np.zeros((count, w, w), dtype=np.int64)
+    res[:, 0, n] = 1
+    res[:, 1:, n - 1] = 1
+    cur, nxt = np.zeros((2, count, n, n), dtype=np.int64)
+    cur_diag, nxt_diag = (m.reshape(count, n * n)[:, :: n + 1] for m in (cur, nxt))
+    cur_diag[:] = 1
+    for k in range(1, w):
+        np.matmul(a, cur, out=nxt)
+        nxt %= p3
+        c = res[:, 0, n - k : w - k]
+        np.multiply(nxt_diag.sum(axis=1, keepdims=True), mod.neg_inv[k], out=c)
+        c %= p2
+        # M_k = N + c*I, its diagonal left unreduced below 2p; at k = n the
+        # diagonal of M_n = 0 lands in the unread padding
+        nxt_diag += c
+        res[:, 1:, n - 1 - k] = nxt_diag
+        cur, nxt, cur_diag, nxt_diag = nxt, cur, nxt_diag, cur_diag
+    res %= p3
+    lifted = _garner_lift(res.reshape(count, w * w), mod)
+    coeffs = lifted[:w]
+    deleted = tuple(tuple(lifted[w * v : w * v + n]) for v in range(1, w))
+    t = sum(cre[i][i] for i in range(n))
+    if coeffs[n - 1] != -t:
+        raise AssertionError("lifted charpoly: c_(n-1) is not -tr C")
+    if n >= 2 and 2 * coeffs[n - 2] != t * t - sq:
+        raise AssertionError("lifted charpoly: c_(n-2) is not (t^2 - sum |c_ij|^2)/2")
+    if [sum(col) for col in zip(*deleted)] != [j * coeffs[j] for j in range(1, w)]:
+        raise AssertionError("lifted adjugate diagonal does not sum to the derivative")
+    return IntPolynomial(coeffs), deleted
 
 
 def scaled_char_poly(b: HermitianMatrix) -> tuple[IntPolynomial, int]:
@@ -619,8 +743,6 @@ def submatrix_multiplicity(
 
 def eigenvalues_numeric(b: HermitianMatrix) -> SpectrumNumeric:
     """All eigenvalues, ascending, with the documented residual bound."""
-    import numpy as np
-
     mat = b.to_numpy()
     if not np.all(np.isfinite(mat)):
         raise ParameterOutOfRange("matrix entries must be finite")

@@ -214,6 +214,15 @@ def test_batched_charpoly_matches_references():
     assert tuple(int(c) for c in _batched_charpoly(arr)[0]) == scaled_char_poly(c4)[0].coeffs
 
 
+def test_batched_charpoly_asserts_its_int64_bound():
+    # K_9, the densest 0/1 table of the n = 9 sweep: 9*(2*8)^9 < 2**63
+    k9 = np.ones((1, 9, 9), dtype=np.int64) - np.eye(9, dtype=np.int64)
+    complete = Graph(9, [(u, v) for u in range(9) for v in range(u + 1, 9)])
+    assert tuple(_batched_charpoly(k9)[0].tolist()) == scaled_char_poly(adjacency_matrix(complete))[0].coeffs
+    with pytest.raises(AssertionError, match="overflow"):
+        _batched_charpoly(k9 << 20)
+
+
 # ---------------------------------------------------------------------------
 # Sweep gate (structural half behind the nonempty-M prefilter) vs the full
 # decomposition predicate

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from sympy import QQ_I
+from sympy import QQ_I, ZZ_I
 from sympy.polys.matrices import DomainMatrix
 
 import specmult.spectra as spectra_mod
@@ -194,7 +194,9 @@ def _delete(b, v):
 
 
 def test_adjugate_diagonal_gives_vertex_deleted_charpolys():
-    for b in _deletion_test_matrices():
+    rng = random.Random(12)
+    larger = [random_in_S(_connected_pattern(rng, n), rng.randrange(1 << 20)) for n in (12, 16)]
+    for b in _deletion_test_matrices() + larger:
         d, cre, cim = spectra_mod._clear_denominators(b.entries)
         charpoly, deleted = spectra_mod._faddeev_leverrier(cre, cim)
         assert charpoly == scaled_char_poly(b)[0]
@@ -206,6 +208,94 @@ def test_adjugate_diagonal_gives_vertex_deleted_charpolys():
             sub, d_v = scaled_char_poly(_delete(b, v))
             want = [Fraction(c, d_v ** (b.n - 1 - j)) for j, c in enumerate(sub.coeffs)]
             assert unscaled == want, (b.n, v)
+
+
+def _sympy_charpoly(re, im) -> tuple[int, ...]:
+    """det(xI - C) of the Gaussian integer matrix C = re + i*im, by sympy
+    over ZZ_I, lowest degree first."""
+    n = len(re)
+    rows = [[ZZ_I(re[i][j], im[i][j]) for j in range(n)] for i in range(n)]
+    coeffs = DomainMatrix(rows, (n, n), ZZ_I).charpoly()
+    assert all(c.y == 0 for c in coeffs)
+    return tuple(int(c.x) for c in reversed(coeffs))
+
+
+def test_multimodular_kernel_matches_sympy_beyond_int64():
+    rng = random.Random(21)
+    widest = 0
+    for n in [1, 2, 3, 5, 8, 11, 14, 16, 16]:
+        d, re, im = random_in_S(_connected_pattern(rng, n), rng.randrange(1 << 20)).cleared
+        charpoly, deleted = spectra_mod._faddeev_leverrier(re, im)
+        assert charpoly.coeffs == _sympy_charpoly(re, im)
+        for v in range(n):
+            keep = [u for u in range(n) if u != v]
+            sub = [[re[i][j] for j in keep] for i in keep], [[im[i][j] for j in keep] for i in keep]
+            assert deleted[v] == _sympy_charpoly(*sub), (n, v)
+        widest = max(widest, max(abs(c) for c in charpoly.coeffs))
+    # a coefficient beyond 2**63 needs a product of primes beyond 2**64,
+    # so at least three primes below 2**26
+    assert widest > 2**63
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_multimodular_kernel_is_exact_next_to_its_bound(sign):
+    # diag(lam), lam = +-R: the largest coefficient of (x - lam)^8, R^8, is
+    # within a factor 2 of the bound (1 + r)^8, r = 1 + floor(sqrt(8/7) R),
+    # and the product of the primes exceeds twice that bound
+    n, lam = 8, sign * 10**12
+    re = tuple(tuple(lam if i == j else 0 for j in range(n)) for i in range(n))
+    im = tuple((0,) * n for _ in range(n))
+    charpoly, deleted = spectra_mod._faddeev_leverrier(re, im)
+    assert charpoly.coeffs == tuple(math.comb(n, j) * (-lam) ** (n - j) for j in range(n + 1))
+    below = tuple(math.comb(n - 1, j) * (-lam) ** (n - 1 - j) for j in range(n))
+    assert deleted == (below,) * n
+
+
+def test_multimodular_kernel_reduces_entries_beyond_int64():
+    a, dd, b_re, b_im = 2**64 + 1, -7, 3, 5 * 2**70
+    re = ((a, b_re), (b_re, dd))
+    im = ((0, b_im), (-b_im, 0))
+    charpoly, deleted = spectra_mod._faddeev_leverrier(re, im)
+    assert charpoly.coeffs == (a * dd - b_re**2 - b_im**2, -(a + dd), 1)
+    assert deleted == ((-dd, 1), (-a, 1))
+
+
+def test_multimodular_kernel_small_and_oversized_orders():
+    assert spectra_mod._faddeev_leverrier((), ()) == (IntPolynomial((1,)), ())
+    assert spectra_mod._faddeev_leverrier(((-3,),), ((0,),)) == (IntPolynomial((3, 1)), ((1,),))
+    too_big = ((),) * 2048  # refused on its order, before any entry is read
+    with pytest.raises(ParameterOutOfRange):
+        spectra_mod._faddeev_leverrier(too_big, too_big)
+
+
+def test_a_wrong_root_of_minus_one_trips_an_invariant(monkeypatch):
+    # with s*s != -1 mod one prime, tr C^2 comes out as sum(re^2 - s^2 im^2)
+    # there, so the lifted c_(n-2) disagrees with (t^2 - sum |c_ij|^2)/2
+    real_table = spectra_mod._prime_table
+
+    def patched(count):
+        (p, s), *rest = real_table(count)
+        return ((p, s + 1), *rest)
+
+    d, re, im = random_in_S(cycle_graph(5), 4).cleared
+    assert any(any(row) for row in im)
+    spectra_mod._moduli.cache_clear()
+    monkeypatch.setattr(spectra_mod, "_prime_table", patched)
+    try:
+        with pytest.raises(AssertionError, match="c_\\(n-2\\)"):
+            spectra_mod._faddeev_leverrier(re, im)
+    finally:
+        spectra_mod._moduli.cache_clear()
+
+
+def test_prime_table_rederived_by_trial_division():
+    table = spectra_mod._prime_table(16)
+    primes = [p for p, _ in table]
+    assert primes == sorted(set(primes), reverse=True)
+    for p, s in table:
+        assert p < 2**26 and p % 4 == 1
+        assert all(p % q for q in range(2, math.isqrt(p) + 1))
+        assert s * s % p == p - 1
 
 
 def _eigenvalues_of(b: HermitianMatrix) -> list:
