@@ -11,8 +11,11 @@ every exact question about B or its principal submatrices reads them; the
 slice of d*B on a vertex set is d times the submatrix, so no submatrix is
 built. The multiplicity of a rational eigenvalue lambda = p/q is
 n - rank(B - lambda*I), computed in integers throughout: the shift is made
-in Z as q*(d*B) - p*d*I, and one fraction-free Bareiss kernel takes the
-rank; it computes no entry whose operands are both 0. Algebraic
+in Z as q*(d*B) - p*d*I, and one kernel, exact_rank, takes the rank by
+elimination over F_p, i standing for a square root of -1 mod p. A full
+rank mod one prime is the rank; a smaller one is certified by further
+primes, proven by Miller-Rabin to the bases 2..41, until their product
+exceeds Hadamard's bound on the next larger minors. Algebraic
 eigenvalues, described by their minimal polynomial, go through the one
 integer characteristic polynomial route, Faddeev-LeVerrier on d*B (or on
 the slice), and division by the minimal polynomial of d*lambda. The
@@ -45,6 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Sequence, Union
 
 import numpy as np
@@ -331,23 +335,73 @@ def _division_count(p: tuple[int, ...], mu: tuple[int, ...]) -> int:
 
 _MODULUS_BITS = 26  # every prime is below 2**26, so (n + 1)*(p - 1)**2 < 2**63 while n <= 2047
 _MAX_ORDER = 2047
+_CERT_BITS = 81  # the rank's certifying primes are below 2**81, where _is_prime is a proof
+
+# Miller-Rabin to the thirteen prime bases 2..41 is a proof of primality
+# below 3,317,044,064,679,887,385,961,981 (J. Sorenson and J. Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)
+# 985-1003), and 2**81 lies below that
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-@lru_cache(maxsize=None)
-def _prime_table(count: int) -> tuple[tuple[int, int], ...]:
+def _is_prime(n: int) -> bool:
+    """Is n > 1 prime? Exact for n below 3.3e24 (see _MR_BASES)."""
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^r * d, d odd
+    d = (n - 1) >> r
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _root_of_minus_one(p: int) -> int:
+    """A square root of -1 mod the prime p = 1 (mod 4), which exists because
+    4 divides p - 1: a^((p-1)/4) for the least quadratic non-residue a."""
+    a = 2
+    while pow(a, (p - 1) // 2, p) != p - 1:
+        a += 1
+    return pow(a, (p - 1) // 4, p)
+
+
+class _PrimeTable:
+    """The primes p = 1 (mod 4) below 2**bits, descending, each paired with
+    a square root s of -1 mod p. One list grows in place: entry i is derived
+    when it is first read and kept for every later reader, and s*s = -1
+    (mod p) is asserted as each entry goes in."""
+
+    def __init__(self, bits: int):
+        self.entries: list[tuple[int, int]] = []
+        self._candidates = iter(range((1 << bits) - 3, 1, -4))
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        while len(self.entries) <= i:
+            p = next(self._candidates)
+            if _is_prime(p):
+                s = _root_of_minus_one(p)
+                if s * s % p != p - 1:
+                    raise AssertionError(f"{s} is not a square root of -1 mod {p}")
+                self.entries.append((p, s))
+        return self.entries[i]
+
+
+_SMALL_PRIMES = _PrimeTable(_MODULUS_BITS)
+_CERT_PRIMES = _PrimeTable(_CERT_BITS)
+
+
+def _prime_table(count: int) -> list[tuple[int, int]]:
     """The count largest primes p = 1 (mod 4) below 2**26, descending, each
-    with a square root s of -1 mod p, which exists because 4 divides p - 1:
-    s = a^((p-1)/4) for the least quadratic non-residue a."""
-    out = []
-    p = (1 << _MODULUS_BITS) - 3
-    while len(out) < count:
-        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):  # p is odd
-            a = 2
-            while pow(a, (p - 1) // 2, p) != p - 1:
-                a += 1
-            out.append((p, pow(a, (p - 1) // 4, p)))
-        p -= 4
-    return tuple(out)
+    with a square root of -1 mod p."""
+    return [_SMALL_PRIMES[i] for i in range(count)]
 
 
 @dataclass(frozen=True)
@@ -523,63 +577,90 @@ def _char_poly_of_tables(cre: IntTable, cim: IntTable) -> tuple[IntPolynomial, t
 # Exact rank / multiplicity
 
 
-def exact_rank(rows, im: list[list[int]] | None = None) -> int:
-    """Rank over the Gaussian rationals by fraction-free Bareiss elimination
-    over the Gaussian integers (E. H. Bareiss, Math. Comp. 22 (1968)
-    565-578).
+def exact_rank(rows, im: Sequence[Sequence[int]] | None = None) -> int:
+    """Rank over the Gaussian rationals, by elimination over finite fields.
 
     rows holds ExactComplex entries, whose denominators are cleared first;
-    or, with im given, rows + i*im is already a Gaussian integer matrix,
-    held as tables of real and imaginary parts.
+    or, with im given, C = rows + i*im is already a Gaussian integer matrix,
+    held as tables of real and imaginary parts. Ragged rows, or re and im
+    tables of different shapes, raise ParameterOutOfRange.
 
-    Each elimination step replaces an entry x by (a*x - l*y) / q, where a is
-    the pivot, l the row's leading entry, y the pivot row's entry and q the
-    previous pivot. By Sylvester's identity the quotient is again a Gaussian
-    integer, so it is computed as num*conj(q) / |q|^2 and a nonzero
-    remainder raises AssertionError rather than yield a wrong rank. Where x
-    and y are both 0 the new entry is (a*0 - l*0) / q = 0 exactly, so
-    nothing is computed there. Rows are swapped to find a pivot; columns
-    without one are skipped.
+    For a prime p = 1 (mod 4) with s*s = -1 (mod p), the ring map
+    Z[i] -> F_p, i -> s, sends C to the residues c_ij = re_ij + s*im_ij mod
+    p, and Gaussian elimination over F_p gives rank_p, the rank of that
+    image. The map commutes with determinants, so a minor of C that is
+    nonzero mod p is nonzero, and rank_p <= rank C for every p. The first
+    pass runs modulo the largest prime below 2**26, whose residues and their
+    products fit in two CPython digits. When rank_p reaches min(rows,
+    cols), that is the rank.
+
+    Otherwise best = max rank_p over the primes used so far is certified as
+    follows. Let mu be a (best + 1)-minor of C, a Gaussian integer. Its
+    image mod each prime used vanishes, so mu lies in the prime ideal (p, i
+    - s), and so does its norm N(mu) = mu*conj(mu) = |mu|^2, an integer:
+    p divides N(mu). The primes are distinct, so their product divides
+    N(mu). By Hadamard's inequality |mu|^2 is at most the product of the
+    squared norms sum_j |c_ij|^2 of mu's rows, and so at most H, the product
+    of the best + 1 largest squared row norms of C. Once the product of the
+    primes exceeds H, every such mu is 0 and rank C = best (J. von zur
+    Gathen and J. Gerhard, Modern Computer Algebra, ch. 5). Until then one
+    more pass runs modulo the next certifying prime: the primes below 2**81,
+    where Miller-Rabin to the bases 2..41 proves primality, so that a wide
+    bound takes few passes. A larger rank_p raises best (and H), and a full
+    one ends the search.
     """
+    cols = len(rows[0]) if rows else 0
+    other = rows if im is None else im
+    if len(other) != len(rows) or {*map(len, rows), *map(len, other)} - {cols}:
+        raise ParameterOutOfRange("exact_rank needs rectangular tables, re and im of one shape")
     if im is None:
         _, rows, im = _clear_denominators(rows)
-    # each work row holds (real parts, imaginary parts) of its not yet
-    # eliminated columns
-    work = list(zip(rows, im))
+    full = min(len(rows), cols)
+    if full == 0:
+        return 0
+    p, s = _SMALL_PRIMES[0]
+    best = _rank_mod(rows, im, p, s)
+    if best == full:
+        return best
+    norms = sorted(sum(map(mul, a, a)) + sum(map(mul, b, b)) for a, b in zip(rows, im))
+    bound = math.prod(norms[-best - 1 :])
+    modulus, k = p, 0
+    while modulus <= bound:
+        p, s = _CERT_PRIMES[k]
+        k += 1
+        rank = _rank_mod(rows, im, p, s)
+        if rank > best:
+            if rank == full:
+                return rank
+            best = rank
+            bound = math.prod(norms[-best - 1 :])
+        modulus *= p
+    return best
+
+
+def _rank_mod(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], p: int, s: int) -> int:
+    """Rank over F_p of re + s*im, by Gaussian elimination. A column without
+    a pivot is skipped, and a row whose entry in the pivot column is 0 is
+    left as it is. Entries are reduced mod p where they are read, as a pivot
+    or a row's factor; an update x - f*y adds less than p**2 to x."""
+    work = [[(x + s * y) % p for x, y in zip(a, b)] for a, b in zip(re, im)]
     rank = 0
-    cr, ci, norm = 1, 0, 1  # conj(q) scaled so that x / q = x*(cr + ci*i) / norm
-    while work and work[0][0]:  # rows and columns remain
-        k = next((k for k, (r, i) in enumerate(work) if r[0] or i[0]), None)
-        if k is None:
-            work = [(r[1:], i[1:]) for r, i in work]
-            continue
-        prow, pirow = work.pop(k)
-        ar, ai = prow[0], pirow[0]
-        prow, pirow = prow[1:], pirow[1:]
-        nxt = []
-        for r, i in work:
-            lr, li = r[0], i[0]
-            out_re, out_im = [], []
-            for xr, xi, yr, yi in zip(r[1:], i[1:], prow, pirow):
-                if not (xr or xi or yr or yi):
-                    out_re.append(0)
-                    out_im.append(0)
-                    continue
-                tr = ar * xr - ai * xi - lr * yr + li * yi
-                ti = ar * xi + ai * xr - lr * yi - li * yr
-                qr, rem_r = divmod(tr * cr - ti * ci, norm)
-                qi, rem_i = divmod(ti * cr + tr * ci, norm)
-                if rem_r or rem_i:
-                    raise AssertionError("Bareiss step left a nonzero remainder")
-                out_re.append(qr)
-                out_im.append(qi)
-            nxt.append((out_re, out_im))
-        work = nxt
-        rank += 1
-        if ai == 0:
-            cr, ci, norm = 1, 0, ar
+    for j in range(len(work[0])):
+        for k, row in enumerate(work):
+            if row[j] % p:
+                break
         else:
-            cr, ci, norm = ar, -ai, ar * ar + ai * ai
+            continue
+        prow = work.pop(k)
+        rank += 1
+        if not work:
+            break
+        inv = pow(prow[j], -1, p)
+        tail = [y * inv % p for y in prow[j + 1 :]]
+        for row in work:
+            f = row[j] % p
+            if f:
+                row[j + 1 :] = [x - f * y for x, y in zip(row[j + 1 :], tail)]
     return rank
 
 

@@ -286,6 +286,11 @@ def test_a_wrong_root_of_minus_one_trips_an_invariant(monkeypatch):
             spectra_mod._faddeev_leverrier(re, im)
     finally:
         spectra_mod._moduli.cache_clear()
+    # a prime table that derives a wrong root refuses to take the entry in
+    real_root = spectra_mod._root_of_minus_one
+    monkeypatch.setattr(spectra_mod, "_root_of_minus_one", lambda p: real_root(p) + 1)
+    with pytest.raises(AssertionError, match="square root of -1"):
+        spectra_mod._PrimeTable(spectra_mod._CERT_BITS)[0]
 
 
 def test_prime_table_rederived_by_trial_division():
@@ -296,6 +301,24 @@ def test_prime_table_rederived_by_trial_division():
         assert p < 2**26 and p % 4 == 1
         assert all(p % q for q in range(2, math.isqrt(p) + 1))
         assert s * s % p == p - 1
+
+
+def test_certifying_primes_rederived_by_sympy():
+    # every candidate p = 1 (mod 4) from 2**81 down to the eighth entry is
+    # tested again by sympy's isprime, so no prime is skipped or wrongly taken
+    table = [spectra_mod._CERT_PRIMES[i] for i in range(8)]
+    assert 2**spectra_mod._CERT_BITS < 3_317_044_064_679_887_385_961_981
+    taken = [p for p in range(2**81 - 3, table[-1][0] - 1, -4) if sympy.isprime(p)]
+    assert [p for p, _ in table] == taken
+    for p, s in table:
+        assert s * s % p == p - 1
+    # 318665857834031151167461 = 399165290221 * 798330580441, below 2**81
+    # and 1 mod 4, is a strong probable prime to every prime base up to 37;
+    # base 41 exposes it
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441 and psi12 < 2**81 and psi12 % 4 == 1
+    assert not spectra_mod._is_prime(psi12)
+    assert spectra_mod._is_prime(798330580441)
 
 
 def _eigenvalues_of(b: HermitianMatrix) -> list:
@@ -462,21 +485,35 @@ def test_exact_rank_of_empty_matrices():
     assert exact_rank([[], [], []]) == 0
 
 
-def test_exact_rank_raises_on_an_inexact_division(monkeypatch):
-    # a clearing helper that forgets to scale leaves non-integers in the
-    # tables; the step that divides by the previous pivot 2 then leaves a
-    # remainder, which must raise instead of returning a rank
-    monkeypatch.setattr(
-        spectra_mod,
-        "_clear_denominators",
-        lambda rows: (1, [[e.re for e in r] for r in rows], [[e.im for e in r] for r in rows]),
-    )
-    z, two, half = ExactComplex(), ExactComplex(2), ExactComplex(Fraction(1, 2))
-    half_i = ExactComplex(0, Fraction(1, 2))
-    # the remainder falls in the real part, then in the imaginary part
-    for d1, d2 in [(half, half), (half_i, half)]:
-        with pytest.raises(AssertionError, match="remainder"):
-            exact_rank([[two, z, z], [z, d1, z], [z, z, d2]])
+def test_exact_rank_is_certified_past_a_prime_it_vanishes_mod():
+    # [[p0]] and [[-s0 + i]] are nonzero, so of rank 1, but their image mod
+    # the first prime p0, where i -> s0, is 0; rows p0*(1, 0, 1), (0, 1, 1)
+    # and their sum have rank 2 but rank 1 mod p0. The Hadamard bound
+    # exceeds p0 in each case, so certifying primes must find the rank.
+    p0, s0 = spectra_mod._prime_table(1)[0]
+    cases = [
+        (((p0,),), ((0,),), 1),
+        (((-s0,),), ((1,),), 1),
+        (((p0, 0, p0), (0, 1, 1), (p0, 1, p0 + 1)), ((0,) * 3,) * 3, 2),
+    ]
+    for re, im, rank in cases:
+        assert spectra_mod._rank_mod(re, im, p0, s0) == rank - 1
+        assert exact_rank(re, im) == rank
+        rows = [[ExactComplex(x, y) for x, y in zip(a, b)] for a, b in zip(re, im)]
+        assert _sympy_rank(rows, len(rows[0])) == rank
+
+
+def test_exact_rank_refuses_ragged_or_mismatched_tables():
+    e0, e1 = ExactComplex(0), ExactComplex(1)
+    for args in [
+        ([[1, 0], [0, 1]], [[0], [0]]),
+        ([[1, 0], [0, 1]], [[0, 0]]),
+        ([[1, 0], [0]], [[0, 0], [0]]),
+        ([[e1], [e0, e1]],),
+    ]:
+        with pytest.raises(ParameterOutOfRange):
+            exact_rank(*args)
+    assert exact_rank([[1, 0], [0, 1]], [[0, 0], [0, 0]]) == 2
 
 
 def test_multiplicity_exact_rational_fixture():
