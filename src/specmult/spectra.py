@@ -10,12 +10,16 @@ first use, to Gaussian integer tables d*B (HermitianMatrix.cleared), and
 every exact question about B or its principal submatrices reads them; the
 slice of d*B on a vertex set is d times the submatrix, so no submatrix is
 built. The multiplicity of a rational eigenvalue lambda = p/q is
-n - rank(B - lambda*I), computed in integers throughout: the shift is made
-in Z as q*(d*B) - p*d*I, and one kernel, exact_rank, takes the rank by
-elimination over F_p, i standing for a square root of -1 mod p. A full
-rank mod one prime is the rank; a smaller one is certified by further
-primes, proven by Miller-Rabin to the bases 2..41, until their product
-exceeds Hadamard's bound on the next larger minors. Algebraic
+n - rank(B - lambda*I), the rank taken by elimination over F_p, i standing
+for a square root of -1 mod p (_rank_mod). Beside cleared, B keeps its
+residue table mod p0, the largest prime p = 1 (mod 4) below 2**26
+(HermitianMatrix.residues), and the first pass reads the slice's residue
+rows, less p*d/q mod p0 on the diagonal alone: for q a unit mod p0 they are
+q^-1 times q*(d*B) - p*d*I, so they have its rank mod p0. A full rank mod
+p0 is the rank. A deficient one (or p0 | q) builds the shift in Z as
+q*(d*B) - p*d*I and exact_rank certifies it from that first pass, with
+further primes, proven by Miller-Rabin to the bases 2..41, until their
+product exceeds Hadamard's bound on the next larger minors. Algebraic
 eigenvalues, described by their minimal polynomial, go through the one
 integer characteristic polynomial route, Faddeev-LeVerrier on d*B (or on
 the slice), and division by the minimal polynomial of d*lambda. The
@@ -54,7 +58,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import AmbiguousCluster, ConvergenceFailure, IndexOutOfRange, ParameterOutOfRange
-from .hermitian import HermitianMatrix, IntTable, _clear_denominators, principal_submatrix
+from .hermitian import HermitianMatrix, IntTable, _clear_denominators, _residue_rows, principal_submatrix
 
 # ---------------------------------------------------------------------------
 # Polynomials (coefficient tuples, lowest degree first)
@@ -577,22 +581,26 @@ def _char_poly_of_tables(cre: IntTable, cim: IntTable) -> tuple[IntPolynomial, t
 # Exact rank / multiplicity
 
 
-def exact_rank(rows, im: Sequence[Sequence[int]] | None = None) -> int:
+def exact_rank(rows, im: Sequence[Sequence[int]] | None = None, *, first_pass: int | None = None) -> int:
     """Rank over the Gaussian rationals, by elimination over finite fields.
 
     rows holds ExactComplex entries, whose denominators are cleared first;
     or, with im given, C = rows + i*im is already a Gaussian integer matrix,
-    held as tables of real and imaginary parts. Ragged rows, or re and im
-    tables of different shapes, raise ParameterOutOfRange.
+    held as tables of real and imaginary parts. Ragged rows, re and im
+    tables of different shapes, or a first_pass outside 0..min(rows, cols)
+    raise ParameterOutOfRange.
 
     For a prime p = 1 (mod 4) with s*s = -1 (mod p), the ring map
     Z[i] -> F_p, i -> s, sends C to the residues c_ij = re_ij + s*im_ij mod
-    p, and Gaussian elimination over F_p gives rank_p, the rank of that
-    image. The map commutes with determinants, so a minor of C that is
-    nonzero mod p is nonzero, and rank_p <= rank C for every p. The first
-    pass runs modulo the largest prime below 2**26, whose residues and their
-    products fit in two CPython digits. When rank_p reaches min(rows,
-    cols), that is the rank.
+    p, and Gaussian elimination over F_p (_rank_mod on the residue table)
+    gives rank_p, the rank of that image. The map commutes with
+    determinants, so a minor of C that is nonzero mod p is nonzero, and
+    rank_p <= rank C for every p. The first pass runs modulo p0, the
+    largest prime below 2**26, whose residues and their products fit in two
+    CPython digits. When rank_p reaches min(rows, cols), that is the rank.
+    A caller that has already taken rank_p0 on residues it keeps (the
+    multiplicity route, on HermitianMatrix.residues) passes it as
+    first_pass, and that pass is not repeated.
 
     Otherwise best = max rank_p over the primes used so far is certified as
     follows. Let mu be a (best + 1)-minor of C, a Gaussian integer. Its
@@ -613,13 +621,15 @@ def exact_rank(rows, im: Sequence[Sequence[int]] | None = None) -> int:
     other = rows if im is None else im
     if len(other) != len(rows) or {*map(len, rows), *map(len, other)} - {cols}:
         raise ParameterOutOfRange("exact_rank needs rectangular tables, re and im of one shape")
+    full = min(len(rows), cols)
+    if first_pass is not None and not 0 <= first_pass <= full:
+        raise ParameterOutOfRange(f"a first-pass rank {first_pass} outside 0..{full}")
     if im is None:
         _, rows, im = _clear_denominators(rows)
-    full = min(len(rows), cols)
     if full == 0:
         return 0
     p, s = _SMALL_PRIMES[0]
-    best = _rank_mod(rows, im, p, s)
+    best = _rank_mod(_residue_rows(rows, im, p, s), p) if first_pass is None else first_pass
     if best == full:
         return best
     norms = sorted(sum(map(mul, a, a)) + sum(map(mul, b, b)) for a, b in zip(rows, im))
@@ -628,7 +638,7 @@ def exact_rank(rows, im: Sequence[Sequence[int]] | None = None) -> int:
     while modulus <= bound:
         p, s = _CERT_PRIMES[k]
         k += 1
-        rank = _rank_mod(rows, im, p, s)
+        rank = _rank_mod(_residue_rows(rows, im, p, s), p)
         if rank > best:
             if rank == full:
                 return rank
@@ -638,14 +648,14 @@ def exact_rank(rows, im: Sequence[Sequence[int]] | None = None) -> int:
     return best
 
 
-def _rank_mod(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], p: int, s: int) -> int:
-    """Rank over F_p of re + s*im, by Gaussian elimination. A column without
-    a pivot is skipped, and a row whose entry in the pivot column is 0 is
-    left as it is. Entries are reduced mod p where they are read, as a pivot
-    or a row's factor; an update x - f*y adds less than p**2 to x."""
-    work = [[(x + s * y) % p for x, y in zip(a, b)] for a, b in zip(re, im)]
+def _rank_mod(work: list[list[int]], p: int) -> int:
+    """Rank over F_p of the residue rows in work, which it consumes, by
+    Gaussian elimination. A column without a pivot is skipped, and a row
+    whose entry in the pivot column is 0 is left as it is. Entries are
+    reduced mod p where they are read, as a pivot or a row's factor, so they
+    may come in unreduced; an update x - f*y adds less than p**2 to x."""
     rank = 0
-    for j in range(len(work[0])):
+    for j in range(len(work[0]) if work else 0):
         for k, row in enumerate(work):
             if row[j] % p:
                 break
@@ -739,38 +749,47 @@ def _exact_multiplicity(b: HermitianMatrix, ids: Sequence[int], lam) -> Multipli
 
     The slice of d*B on ids is d times the submatrix, so d clears it too.
     For lambda = p/q the shift is made in Z: q*(d*B) - p*d*I on ids is q*d
-    times B[ids] - lambda*I and has the same rank. An algebraic lambda
-    divides the memoised charpoly of the slice by the minimal polynomial of
-    d*lambda.
+    times B[ids] - lambda*I and has the same rank. Its first pass runs on
+    B's residue table mod p0 (HermitianMatrix.residues): for q a unit mod
+    p0, that shift is q times the slice of the residues less p*d/q on the
+    diagonal, so the slice's residue rows, shifted on the diagonal alone,
+    have its rank mod p0. A full rank is the answer. A deficient one (or
+    p0 | q) builds the integer tables and exact_rank certifies them from
+    that first pass. An algebraic lambda divides the
+    memoised charpoly of the slice by the minimal polynomial of d*lambda.
     """
     d, re, im = b.cleared
+    n = len(ids)
     if isinstance(lam, AlgebraicEigenvalue):
-        if len(ids) < b.n:
+        if n < b.n:
             re = tuple(tuple(re[i][j] for j in ids) for i in ids)
             im = tuple(tuple(im[i][j] for j in ids) for i in ids)
         charpoly, _ = _char_poly_of_tables(re, im)
         m = multiplicity_via_minpoly(charpoly, scale_minpoly(lam.minpoly, d))
         return MultiplicityResult(lam, m, "CharPolyDivision", 0.0)
     lam = Fraction(lam)
-    rank = exact_rank(*_shifted(b.cleared, ids, *lam.as_integer_ratio()))
-    return MultiplicityResult(lam, len(ids) - rank, "ExactRank", 0.0)
-
-
-def _shifted(
-    cleared: tuple[int, IntTable, IntTable], keep: Sequence[int], p: int, q: int
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Real and imaginary int tables of q*(d*B) - p*d*I on the rows and
-    columns in keep, from B's cleared tables (d, re, im)."""
-    d, re, im = cleared
+    p, q = lam.as_integer_ratio()
+    p0 = _SMALL_PRIMES[0][0]
+    first = None
+    if q % p0:
+        res = b.residues
+        work = [list(row) for row in res] if n == b.n else [[res[i][j] for j in ids] for i in ids]
+        shift = p * d * pow(q, -1, p0) % p0
+        for a, row in enumerate(work):
+            row[a] -= shift
+        first = _rank_mod(work, p0)
+        if first == n:
+            return MultiplicityResult(lam, 0, "ExactRank", 0.0)
     shift = p * d
-    out_re, out_im = [], []
-    for a, i in enumerate(keep):
+    shifted_re, shifted_im = [], []
+    for a, i in enumerate(ids):
         row_re, row_im = re[i], im[i]
-        row = [q * row_re[j] for j in keep]
+        row = [q * row_re[j] for j in ids]
         row[a] -= shift
-        out_re.append(row)
-        out_im.append([q * row_im[j] for j in keep])
-    return out_re, out_im
+        shifted_re.append(row)
+        shifted_im.append([q * row_im[j] for j in ids])
+    rank = exact_rank(shifted_re, shifted_im, first_pass=first)
+    return MultiplicityResult(lam, n - rank, "ExactRank", 0.0)
 
 
 def _minpoly(lam: EigenvalueLike) -> IntPolynomial:

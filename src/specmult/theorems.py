@@ -33,7 +33,6 @@ from .graphs import (
     Graph,
     bfs_distances,
     cycle_graph,
-    delete_edge,
     induced_subgraph,
     is_connected,
     path_graph,
@@ -42,6 +41,7 @@ from .graphs import (
 from .hermitian import (
     ExactComplex,
     HermitianMatrix,
+    _zero_edge,
     adjacency_matrix,
     cycle_gain,
     gain_graph,
@@ -515,15 +515,6 @@ class RelationProbe:
     tol: float = 1e-8
 
 
-def _zero_edge(b: HermitianMatrix, u: int, v: int) -> HermitianMatrix:
-    g2 = delete_edge(b.pattern, (u, v))
-    zero = ExactComplex(0, 0) if b.is_exact else complex(0)
-    rows = [list(r) for r in b.entries]
-    rows[u][v] = zero
-    rows[v][u] = zero
-    return HermitianMatrix(b.n, tuple(tuple(r) for r in rows), g2, b.scalar)
-
-
 def lemma_relation_checks(
     g: Graph, b: HermitianMatrix, lam: EigenvalueLike, probe: RelationProbe
 ) -> CheckReport:
@@ -704,14 +695,18 @@ def _gain_closed_forms(n: int, alpha, rho_pi: bool) -> list[tuple]:
 
 
 def _match_gain_eigenvalue(n, alpha, lam, rho_pi, tol, exact_mode):
-    """Index j whose closed-form doubled eigenvalue equals lambda, if any."""
+    """Index j whose closed-form doubled eigenvalue equals lambda, if any.
+    Conjugate closed forms share a minimal polynomial, so an algebraic
+    lambda in exact mode takes, among the forms with its minimal
+    polynomial, the one whose value lies nearest its locator."""
     forms = _gain_closed_forms(n, alpha, rho_pi)
     if not exact_mode:
         lam_f = eigenvalue_float(lam)
         return next((j for j, _, _, val in forms if abs(val - lam_f) <= max(tol, 1e-9)), None)
     if isinstance(lam, AlgebraicEigenvalue):
         lam_min = IntPolynomial(poly_primitive_int(lam.minpoly.coeffs))
-        return next((j for j, chi, _, _ in forms if chi.coeffs == lam_min.coeffs), None)
+        same = [(abs(val - lam.approx), j) for j, chi, _, val in forms if chi.coeffs == lam_min.coeffs]
+        return min(same)[1] if same else None
     if isinstance(lam, (int, Fraction)):
         return next((j for j, _, exact, _ in forms if exact == lam), None)
     return None

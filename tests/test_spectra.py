@@ -14,6 +14,7 @@ from specmult.graphs import Graph, cycle_graph, path_graph, star_graph, theta_gr
 from specmult.hermitian import (
     ExactComplex,
     HermitianMatrix,
+    _residue_rows,
     adjacency_matrix,
     principal_submatrix,
     random_in_S,
@@ -497,7 +498,7 @@ def test_exact_rank_is_certified_past_a_prime_it_vanishes_mod():
         (((p0, 0, p0), (0, 1, 1), (p0, 1, p0 + 1)), ((0,) * 3,) * 3, 2),
     ]
     for re, im, rank in cases:
-        assert spectra_mod._rank_mod(re, im, p0, s0) == rank - 1
+        assert spectra_mod._rank_mod(_residue_rows(re, im, p0, s0), p0) == rank - 1
         assert exact_rank(re, im) == rank
         rows = [[ExactComplex(x, y) for x, y in zip(a, b)] for a, b in zip(re, im)]
         assert _sympy_rank(rows, len(rows[0])) == rank
@@ -514,6 +515,11 @@ def test_exact_rank_refuses_ragged_or_mismatched_tables():
         with pytest.raises(ParameterOutOfRange):
             exact_rank(*args)
     assert exact_rank([[1, 0], [0, 1]], [[0, 0], [0, 0]]) == 2
+    # a first-pass rank must lie in 0..min(rows, cols)
+    for first in (-1, 3):
+        with pytest.raises(ParameterOutOfRange):
+            exact_rank([[1, 0], [0, 1]], [[0, 0], [0, 0]], first_pass=first)
+    assert exact_rank([[1, 0], [0, 1]], [[0, 0], [0, 0]], first_pass=2) == 2
 
 
 def test_multiplicity_exact_rational_fixture():
@@ -524,23 +530,99 @@ def test_multiplicity_exact_rational_fixture():
     assert multiplicity(b, Fraction(5)).multiplicity == 0
 
 
-def test_multiplicity_exact_rational_ranks_through_exact_rank(monkeypatch):
-    # exact_rank is the one rank routine, and the shifted integer tables reach
-    # it through the module name, where perfbench's span wrappers count it
+def _counting_exact_rank(monkeypatch) -> list:
+    """Record every call that reaches the public exact_rank through the
+    module name, where perfbench's span wrappers count it."""
     seen = []
     kernel = spectra_mod.exact_rank
 
-    def counting(rows, im=None):
-        seen.append((rows, im))
-        return kernel(rows, im)
+    def counting(rows, im=None, **kw):
+        seen.append((rows, im, kw))
+        return kernel(rows, im, **kw)
 
     monkeypatch.setattr(spectra_mod, "exact_rank", counting)
+    return seen
+
+
+def test_multiplicity_exact_rational_ranks_through_exact_rank(monkeypatch):
+    # a full rank on B's residue table mod p0 is the answer: no shifted
+    # integer table is built and exact_rank is not reached
+    seen = _counting_exact_rank(monkeypatch)
     b = adjacency_matrix(cycle_graph(4))
     assert multiplicity(b, Fraction(1, 2)).multiplicity == 0
-    ((re, im),) = seen
-    # q*(d*B) - p*d*I with d = 1 and lambda = p/q = 1/2
-    assert re == [[-1, 2, 0, 2], [2, -1, 2, 0], [0, 2, -1, 2], [2, 0, 2, -1]]
+    assert seen == []
+    # a deficient one certifies on exactly q*(d*B) - p*d*I, here d = 1 and
+    # lambda = p/q = 0, continuing from the first pass's rank 2
+    assert multiplicity(b, Fraction(0)).multiplicity == 2
+    ((re, im, kw),) = seen
+    assert re == [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
     assert im == [[0] * 4] * 4
+    assert kw == {"first_pass": 2}
+
+
+def _shifted_tables(b: HermitianMatrix, ids: list[int], lam: Fraction) -> tuple[list, list]:
+    """q*(d*B) - p*d*I on the rows and columns in ids, built from the
+    entries, with d the lcm of every entry's denominator."""
+    d = math.lcm(*(f.denominator for row in b.entries for e in row for f in (e.re, e.im)))
+    p, q = lam.as_integer_ratio()
+    re = [[q * d * b.entries[i][j].re - (p * d if i == j else 0) for j in ids] for i in ids]
+    im = [[q * d * b.entries[i][j].im for j in ids] for i in ids]
+    return [[int(x) for x in row] for row in re], [[int(x) for x in row] for row in im]
+
+
+def test_residue_route_equals_the_rank_of_shifted_tables():
+    """multiplicity and submatrix_multiplicity, which take their first pass
+    on B's residue table, equal len(ids) - exact_rank of the shifted integer
+    tables, on random matrices in S(G) and random vertex slices."""
+    rng = random.Random(16)
+    deficient = 0
+    for n in range(1, 11):
+        for _ in range(8):
+            b = random_in_S(_connected_pattern(rng, n), rng.randrange(1 << 30))
+            ids = sorted(rng.sample(range(n), rng.randint(1, n)))
+            v = rng.randrange(n)
+            lams = [
+                Fraction(0),
+                Fraction(1),
+                b.entries[v][v].re,
+                b.entries[ids[0]][ids[0]].re,
+                Fraction(rng.randint(-40, 40), rng.randint(1, 12)),
+            ]
+            for lam in lams:
+                m = multiplicity(b, lam).multiplicity
+                assert m == n - exact_rank(*_shifted_tables(b, list(range(n)), lam)), (b.entries, lam)
+                ms = submatrix_multiplicity(b, ids, lam)
+                assert ms == len(ids) - exact_rank(*_shifted_tables(b, ids, lam)), (b.entries, ids, lam)
+                deficient += (m > 0) + (ms > 0)
+    # 81 with this seed: every diagonal entry is an eigenvalue at n = 1, and
+    # of each slice of one vertex
+    assert deficient >= 60
+
+
+def test_residue_route_falls_back_when_p0_divides_q(monkeypatch):
+    # q is no unit mod p0, so the residues cannot be shifted: the integer
+    # tables take a full first pass in exact_rank
+    p0 = spectra_mod._prime_table(1)[0][0]
+    seen = _counting_exact_rank(monkeypatch)
+    for k in (1, 3):
+        lam = Fraction(k, p0)
+        b = HermitianMatrix.from_rows([[lam, 1], [1, lam]])
+        assert multiplicity(b, lam).multiplicity == 0
+        assert multiplicity(b, lam + 1).multiplicity == 1
+        assert submatrix_multiplicity(b, [1], lam) == 1
+    assert len(seen) == 6 and all(kw == {"first_pass": None} for _, _, kw in seen)
+
+
+def test_residue_route_certifies_tables_singular_mod_p0():
+    # [[p0]] and [[p0 + 1]] - 1 are 0 mod p0 but not over Q: the first pass
+    # finds rank 0, and the certifying primes find rank 1
+    p0 = spectra_mod._prime_table(1)[0][0]
+    assert multiplicity(HermitianMatrix.from_rows([[p0]]), Fraction(0)).multiplicity == 0
+    assert multiplicity(HermitianMatrix.from_rows([[p0 + 1]]), Fraction(1)).multiplicity == 0
+    assert multiplicity(HermitianMatrix.from_rows([[p0 + 1]]), Fraction(p0 + 1)).multiplicity == 1
+    # rank 2 over Q, rank 1 mod p0: the 3x3 table from the exact_rank test
+    b = HermitianMatrix.from_rows([[p0, 0, p0], [0, 1, 1], [p0, 1, p0 + 1]])
+    assert multiplicity(b, Fraction(0)).multiplicity == 1
 
 
 def _connected_pattern(rng, n: int) -> Graph:

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -585,6 +586,48 @@ def test_interlace_edge():
         lemma_relation_checks(c5, b, lam, RelationProbe("interlace-e", edge=(0, 2)))
 
 
+def _interlace_edge_against_from_rows(g, b, lam, u, v):
+    """interlace-e's rhs on (u, v) equals the multiplicity in the same
+    matrix with the edge's entries zeroed, built by from_rows."""
+    rep = lemma_relation_checks(g, b, lam, RelationProbe("interlace-e", edge=(u, v)))
+    rows = [list(r) for r in b.entries]
+    rows[u][v] = rows[v][u] = ExactComplex(0)
+    zeroed = HermitianMatrix.from_rows(rows)
+    assert rep.rhs == multiplicity(zeroed, lam).multiplicity, (b.entries, lam, (u, v))
+    assert rep.lhs == multiplicity(b, lam).multiplicity
+    handed = hermitian_mod._zero_edge(b, u, v)
+    assert handed.cleared == zeroed.cleared and handed.residues == zeroed.residues
+    return handed
+
+
+def test_interlace_edge_reuses_the_cleared_tables():
+    """The edge-zeroed matrix takes B's cleared tables and residues with the
+    two entries zeroed, and d drops to the lcm of what is left."""
+    rng = random.Random(16)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        chord = tuple(sorted(rng.sample(range(n), 2)))
+        edges = sorted({(rng.randrange(w), w) for w in range(1, n)} | {chord})
+        g = Graph(n, edges)
+        b = random_in_S(g, rng.randrange(1 << 30))
+        u, v = edges[rng.randrange(len(edges))]
+        for lam in (Fraction(0), Fraction(1), b.entries[u][u].re, b.entries[v][v].re):
+            _interlace_edge_against_from_rows(g, b, lam, u, v)
+    # the edge (0, 1) carries the only non-integer entry, so d drops from 6
+    # to 1
+    p3 = path_graph(3)
+    b = HermitianMatrix.from_rows(
+        [[1, ExactComplex(Fraction(1, 2), Fraction(1, 3)), 0],
+         [ExactComplex(Fraction(1, 2), Fraction(-1, 3)), 1, 2], [0, 2, 1]]
+    )
+    assert b.cleared[0] == 6
+    assert _interlace_edge_against_from_rows(p3, b, Fraction(1), 0, 1).cleared[0] == 1
+    # d = 12 drops to 4 when the edge held the only factor 3
+    b = HermitianMatrix.from_rows([[Fraction(1, 4), Fraction(1, 3)], [Fraction(1, 3), 0]])
+    handed = _interlace_edge_against_from_rows(Graph(2, [(0, 1)]), b, Fraction(1, 4), 0, 1)
+    assert b.cleared[0] == 12 and handed.cleared == (4, ((1, 0), (0, 0)), ((0, 0), (0, 0)))
+
+
 def test_composition_transfer():
     """Multiplicity transfers across a cut edge when the eigenvalue lives on
     the left block but not on the left block minus the join vertex."""
@@ -695,6 +738,17 @@ def test_gain_cycle_unit_gain():
     # non-eigenvalue: multiplicity 0, equality side must also be off
     rep = lemma_relation_checks(c5, a, Fraction(1), RelationProbe("gain-cycle"))
     assert rep.holds and rep.lhs == 0
+
+
+def test_gain_cycle_matches_the_nearest_conjugate():
+    # 2cos(2pi/5) and 2cos(4pi/5) share the minimal polynomial x^2 + x - 1;
+    # lambda = 2cos(4pi/5) is closed form 2, in exact and in floating mode
+    c5 = cycle_graph(5)
+    lam = AlgebraicEigenvalue.from_2cos(5, 2)
+    assert lam.minpoly == IntPolynomial((-1, 1, 1))
+    for b in (_a_alpha(c5, {}, Fraction(0)), a_alpha_gain(gain_graph(c5, {}), 0.0)):
+        rep = lemma_relation_checks(c5, b, lam, RelationProbe("gain-cycle"))
+        assert rep.holds and rep.lhs == 2 and rep.instance["matched_index"] == 2
 
 
 def test_gain_cycle_flipped_edge():
