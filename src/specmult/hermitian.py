@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -30,7 +29,7 @@ from .errors import (
     ParseError,
     PatternMismatch,
 )
-from .graphs import Graph, SubgraphMap, delete_edge, induced_subgraph
+from .graphs import Graph, SubgraphMap, induced_subgraph
 from .structure import cycle_order, is_cycle_graph
 
 _APPROX_HERMITIAN_TOL = 1e-12
@@ -158,14 +157,6 @@ def _clear_denominators(rows: Sequence[Sequence[ExactComplex]]) -> tuple[int, In
     return d, re, im
 
 
-def _residue_rows(
-    re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], p: int, s: int
-) -> list[list[int]]:
-    """The residues (re + s*im) mod p of a Gaussian integer table, as fresh
-    lists: its image under Z[i] -> F_p, i -> s, for s*s = -1 (mod p)."""
-    return [[(x + s * y) % p for x, y in zip(a, b)] for a, b in zip(re, im)]
-
-
 def _is_finite_complex(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
@@ -197,19 +188,6 @@ class HermitianMatrix:
         if not self.is_exact:
             raise ParameterOutOfRange("cleared tables need exact entries")
         return _clear_denominators(self.entries)
-
-    @cached_property
-    def residues(self) -> IntTable:
-        """The residue table of d*B modulo p0, the first prime of the exact
-        rank (spectra.exact_rank), i standing for its square root s0 of -1:
-        (re + s0*im) mod p0 on the cleared tables. Worked out on first use
-        and kept beside cleared, so that every rational multiplicity on B or
-        on one of its principal submatrices starts from one table."""
-        from .spectra import _SMALL_PRIMES
-
-        p, s = _SMALL_PRIMES[0]
-        _, re, im = self.cleared
-        return tuple(map(tuple, _residue_rows(re, im, p, s)))
 
     def to_numpy(self):
         import numpy as np
@@ -513,46 +491,6 @@ def principal_submatrix(b: HermitianMatrix, keep: Iterable[int]) -> tuple[Hermit
     ids = sub.to_parent
     rows = tuple(tuple(b.entries[i][j] for j in ids) for i in ids)
     return HermitianMatrix(len(ids), rows, sub.child, b.scalar), sub
-
-
-def _zero_pair(table: tuple, u: int, v: int, zero) -> tuple:
-    """The table with entries (u, v) and (v, u) replaced by zero."""
-    rows = list(table)
-    rows[u] = rows[u][:v] + (zero,) + rows[u][v + 1 :]
-    rows[v] = rows[v][:u] + (zero,) + rows[v][u + 1 :]
-    return tuple(rows)
-
-
-def _zero_edge(b: HermitianMatrix, u: int, v: int) -> HermitianMatrix:
-    """B with the entries on the edge uv zeroed, patterned on G - uv.
-
-    An exact B hands its cleared tables and residues to the result with the
-    two entries zeroed, so nothing is cleared again. When the zeroed entries
-    carried factors of d that no other denominator has, g = gcd(d, every
-    entry of the zeroed d*B) exceeds 1, and d/g is the lcm L of the
-    remaining denominators: d*B = (d/L)*(L*B), and no prime divides both L
-    and every entry of L*B, or L would not be the least. The tables are
-    then divided by g, so that cleared keeps its meaning, and the residues
-    are left to be worked out from them on first use.
-    """
-    out = HermitianMatrix(
-        b.n,
-        _zero_pair(b.entries, u, v, EC_ZERO if b.is_exact else complex(0)),
-        delete_edge(b.pattern, (u, v)),
-        b.scalar,
-    )
-    if b.is_exact:
-        d, re, im = b.cleared
-        re, im = _zero_pair(re, u, v, 0), _zero_pair(im, u, v, 0)
-        g = math.gcd(d, *chain.from_iterable(re), *chain.from_iterable(im)) if d > 1 else 1
-        # a cached_property keeps its value in the instance dict
-        if g == 1:
-            out.__dict__["residues"] = _zero_pair(b.residues, u, v, 0)
-        else:
-            d = d // g
-            re, im = (tuple(tuple(x // g for x in row) for row in t) for t in (re, im))
-        out.__dict__["cleared"] = (d, re, im)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,14 @@ every exact question about B or its principal submatrices reads them; the
 slice of d*B on a vertex set is d times the submatrix, so no submatrix is
 built. The multiplicity of a rational eigenvalue lambda = p/q is
 n - rank(B - lambda*I), the rank taken by elimination over F_p, i standing
-for a square root of -1 mod p (_rank_mod). Beside cleared, B keeps its
-residue table mod p0, the largest prime p = 1 (mod 4) below 2**26
-(HermitianMatrix.residues), and the first pass reads the slice's residue
-rows, less p*d/q mod p0 on the diagonal alone: for q a unit mod p0 they are
-q^-1 times q*(d*B) - p*d*I, so they have its rank mod p0. A full rank mod
-p0 is the rank. A deficient one (or p0 | q) builds the shift in Z as
-q*(d*B) - p*d*I and exact_rank certifies it from that first pass, with
-further primes, proven by Miller-Rabin to the bases 2..41, until their
-product exceeds Hadamard's bound on the next larger minors. Algebraic
+for a square root of -1 mod p (_rank_mod). The first pass reads the slice
+of d*B mod p0, the largest prime p = 1 (mod 4) below 2**26, as residues
+(re + s0*im) mod p0, less p*d/q mod p0 on the diagonal alone: for q a unit
+mod p0 they are q^-1 times q*(d*B) - p*d*I, so they have its rank mod p0.
+A full rank there is the rank, and no integer table is built. A deficient
+one (or p0 | q) builds the shift in Z as q*(d*B) - p*d*I, and further
+primes, proven by Miller-Rabin to the bases 2..41, certify its rank until
+their product exceeds Hadamard's bound on the next larger minors. Algebraic
 eigenvalues, described by their minimal polynomial, go through the one
 integer characteristic polynomial route, Faddeev-LeVerrier on d*B (or on
 the slice), and division by the minimal polynomial of d*lambda. The
@@ -58,7 +57,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import AmbiguousCluster, ConvergenceFailure, IndexOutOfRange, ParameterOutOfRange
-from .hermitian import HermitianMatrix, IntTable, _clear_denominators, _residue_rows, principal_submatrix
+from .hermitian import HermitianMatrix, IntTable, _clear_denominators, principal_submatrix
 
 # ---------------------------------------------------------------------------
 # Polynomials (coefficient tuples, lowest degree first)
@@ -581,26 +580,22 @@ def _char_poly_of_tables(cre: IntTable, cim: IntTable) -> tuple[IntPolynomial, t
 # Exact rank / multiplicity
 
 
-def exact_rank(rows, im: Sequence[Sequence[int]] | None = None, *, first_pass: int | None = None) -> int:
+def exact_rank(rows, im: Sequence[Sequence[int]] | None = None) -> int:
     """Rank over the Gaussian rationals, by elimination over finite fields.
 
     rows holds ExactComplex entries, whose denominators are cleared first;
     or, with im given, C = rows + i*im is already a Gaussian integer matrix,
-    held as tables of real and imaginary parts. Ragged rows, re and im
-    tables of different shapes, or a first_pass outside 0..min(rows, cols)
-    raise ParameterOutOfRange.
+    held as tables of real and imaginary parts. Ragged rows, or re and im
+    tables of different shapes, raise ParameterOutOfRange.
 
     For a prime p = 1 (mod 4) with s*s = -1 (mod p), the ring map
     Z[i] -> F_p, i -> s, sends C to the residues c_ij = re_ij + s*im_ij mod
-    p, and Gaussian elimination over F_p (_rank_mod on the residue table)
-    gives rank_p, the rank of that image. The map commutes with
-    determinants, so a minor of C that is nonzero mod p is nonzero, and
-    rank_p <= rank C for every p. The first pass runs modulo p0, the
-    largest prime below 2**26, whose residues and their products fit in two
-    CPython digits. When rank_p reaches min(rows, cols), that is the rank.
-    A caller that has already taken rank_p0 on residues it keeps (the
-    multiplicity route, on HermitianMatrix.residues) passes it as
-    first_pass, and that pass is not repeated.
+    p, and Gaussian elimination over F_p gives rank_p, the rank of that
+    image. The map commutes with determinants, so a minor of C that is
+    nonzero mod p is nonzero, and rank_p <= rank C for every p. The first
+    pass runs modulo the largest prime below 2**26, whose residues and their
+    products fit in two CPython digits. When rank_p reaches min(rows,
+    cols), that is the rank.
 
     Otherwise best = max rank_p over the primes used so far is certified as
     follows. Let mu be a (best + 1)-minor of C, a Gaussian integer. Its
@@ -621,24 +616,28 @@ def exact_rank(rows, im: Sequence[Sequence[int]] | None = None, *, first_pass: i
     other = rows if im is None else im
     if len(other) != len(rows) or {*map(len, rows), *map(len, other)} - {cols}:
         raise ParameterOutOfRange("exact_rank needs rectangular tables, re and im of one shape")
-    full = min(len(rows), cols)
-    if first_pass is not None and not 0 <= first_pass <= full:
-        raise ParameterOutOfRange(f"a first-pass rank {first_pass} outside 0..{full}")
     if im is None:
         _, rows, im = _clear_denominators(rows)
+    full = min(len(rows), cols)
     if full == 0:
         return 0
     p, s = _SMALL_PRIMES[0]
-    best = _rank_mod(_residue_rows(rows, im, p, s), p) if first_pass is None else first_pass
+    return _certify(rows, im, _rank_mod(_residue_rows(rows, im, p, s), p), full)
+
+
+def _certify(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], best: int, full: int) -> int:
+    """The rank of the Gaussian integer table re + i*im from best, its rank
+    mod p0, and full = min(rows, cols): exact_rank's certifying passes, run
+    after its own first pass or after the multiplicity route's."""
     if best == full:
         return best
-    norms = sorted(sum(map(mul, a, a)) + sum(map(mul, b, b)) for a, b in zip(rows, im))
+    norms = sorted(sum(map(mul, a, a)) + sum(map(mul, b, b)) for a, b in zip(re, im))
     bound = math.prod(norms[-best - 1 :])
-    modulus, k = p, 0
+    modulus, k = _SMALL_PRIMES[0][0], 0
     while modulus <= bound:
         p, s = _CERT_PRIMES[k]
         k += 1
-        rank = _rank_mod(_residue_rows(rows, im, p, s), p)
+        rank = _rank_mod(_residue_rows(re, im, p, s), p)
         if rank > best:
             if rank == full:
                 return rank
@@ -646,6 +645,12 @@ def exact_rank(rows, im: Sequence[Sequence[int]] | None = None, *, first_pass: i
             bound = math.prod(norms[-best - 1 :])
         modulus *= p
     return best
+
+
+def _residue_rows(re: Sequence[Sequence[int]], im: Sequence[Sequence[int]], p: int, s: int) -> list[list[int]]:
+    """The residues (re + s*im) mod p of a Gaussian integer table, as fresh
+    lists: its image under Z[i] -> F_p, i -> s, for s*s = -1 (mod p)."""
+    return [[(x + s * y) % p for x, y in zip(a, b)] for a, b in zip(re, im)]
 
 
 def _rank_mod(work: list[list[int]], p: int) -> int:
@@ -749,14 +754,14 @@ def _exact_multiplicity(b: HermitianMatrix, ids: Sequence[int], lam) -> Multipli
 
     The slice of d*B on ids is d times the submatrix, so d clears it too.
     For lambda = p/q the shift is made in Z: q*(d*B) - p*d*I on ids is q*d
-    times B[ids] - lambda*I and has the same rank. Its first pass runs on
-    B's residue table mod p0 (HermitianMatrix.residues): for q a unit mod
-    p0, that shift is q times the slice of the residues less p*d/q on the
-    diagonal, so the slice's residue rows, shifted on the diagonal alone,
-    have its rank mod p0. A full rank is the answer. A deficient one (or
-    p0 | q) builds the integer tables and exact_rank certifies them from
-    that first pass. An algebraic lambda divides the
-    memoised charpoly of the slice by the minimal polynomial of d*lambda.
+    times B[ids] - lambda*I and has the same rank. For q a unit mod p0,
+    exact_rank's first prime, it is q times the slice's residues (re +
+    s0*im) mod p0 less p*d/q on the diagonal, which therefore have its rank
+    mod p0. A full rank there is the answer, and no integer table is built;
+    a deficient one is certified on the integer tables from that rank (or,
+    for p0 | q, exact_rank takes the integer tables whole). An algebraic
+    lambda divides the memoised charpoly of the slice by the minimal
+    polynomial of d*lambda.
     """
     d, re, im = b.cleared
     n = len(ids)
@@ -769,27 +774,38 @@ def _exact_multiplicity(b: HermitianMatrix, ids: Sequence[int], lam) -> Multipli
         return MultiplicityResult(lam, m, "CharPolyDivision", 0.0)
     lam = Fraction(lam)
     p, q = lam.as_integer_ratio()
-    p0 = _SMALL_PRIMES[0][0]
-    first = None
+    p0, s0 = _SMALL_PRIMES[0]
     if q % p0:
-        res = b.residues
-        work = [list(row) for row in res] if n == b.n else [[res[i][j] for j in ids] for i in ids]
+        if n == b.n:
+            work = _residue_rows(re, im, p0, s0)
+        else:
+            work = [[(re[i][j] + s0 * im[i][j]) % p0 for j in ids] for i in ids]
         shift = p * d * pow(q, -1, p0) % p0
         for a, row in enumerate(work):
             row[a] -= shift
-        first = _rank_mod(work, p0)
-        if first == n:
-            return MultiplicityResult(lam, 0, "ExactRank", 0.0)
-    shift = p * d
-    shifted_re, shifted_im = [], []
-    for a, i in enumerate(ids):
-        row_re, row_im = re[i], im[i]
-        row = [q * row_re[j] for j in ids]
-        row[a] -= shift
-        shifted_re.append(row)
-        shifted_im.append([q * row_im[j] for j in ids])
-    rank = exact_rank(shifted_re, shifted_im, first_pass=first)
+        rank = _rank_mod(work, p0)
+        if rank < n:
+            rank = _certify(*_shifted(b.cleared, ids, p, q), rank, n)
+    else:
+        rank = exact_rank(*_shifted(b.cleared, ids, p, q))
     return MultiplicityResult(lam, n - rank, "ExactRank", 0.0)
+
+
+def _shifted(
+    cleared: tuple[int, IntTable, IntTable], keep: Sequence[int], p: int, q: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """Real and imaginary int tables of q*(d*B) - p*d*I on the rows and
+    columns in keep, from B's cleared tables (d, re, im)."""
+    d, re, im = cleared
+    shift = p * d
+    out_re, out_im = [], []
+    for a, i in enumerate(keep):
+        row_re, row_im = re[i], im[i]
+        row = [q * row_re[j] for j in keep]
+        row[a] -= shift
+        out_re.append(row)
+        out_im.append([q * row_im[j] for j in keep])
+    return out_re, out_im
 
 
 def _minpoly(lam: EigenvalueLike) -> IntPolynomial:

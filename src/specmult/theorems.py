@@ -33,6 +33,7 @@ from .graphs import (
     Graph,
     bfs_distances,
     cycle_graph,
+    delete_edge,
     induced_subgraph,
     is_connected,
     path_graph,
@@ -41,7 +42,6 @@ from .graphs import (
 from .hermitian import (
     ExactComplex,
     HermitianMatrix,
-    _zero_edge,
     adjacency_matrix,
     cycle_gain,
     gain_graph,
@@ -513,6 +513,15 @@ class RelationProbe:
     left_part: Optional[tuple[int, ...]] = None  # guvh: vertices of the G side
     path: Optional[tuple[int, ...]] = None
     tol: float = 1e-8
+
+
+def _zero_edge(b: HermitianMatrix, u: int, v: int) -> HermitianMatrix:
+    g2 = delete_edge(b.pattern, (u, v))
+    zero = ExactComplex(0, 0) if b.is_exact else complex(0)
+    rows = [list(r) for r in b.entries]
+    rows[u][v] = zero
+    rows[v][u] = zero
+    return HermitianMatrix(b.n, tuple(tuple(r) for r in rows), g2, b.scalar)
 
 
 def lemma_relation_checks(

@@ -14,7 +14,6 @@ from specmult.graphs import Graph, cycle_graph, path_graph, star_graph, theta_gr
 from specmult.hermitian import (
     ExactComplex,
     HermitianMatrix,
-    _residue_rows,
     adjacency_matrix,
     principal_submatrix,
     random_in_S,
@@ -498,7 +497,7 @@ def test_exact_rank_is_certified_past_a_prime_it_vanishes_mod():
         (((p0, 0, p0), (0, 1, 1), (p0, 1, p0 + 1)), ((0,) * 3,) * 3, 2),
     ]
     for re, im, rank in cases:
-        assert spectra_mod._rank_mod(_residue_rows(re, im, p0, s0), p0) == rank - 1
+        assert spectra_mod._rank_mod(spectra_mod._residue_rows(re, im, p0, s0), p0) == rank - 1
         assert exact_rank(re, im) == rank
         rows = [[ExactComplex(x, y) for x, y in zip(a, b)] for a, b in zip(re, im)]
         assert _sympy_rank(rows, len(rows[0])) == rank
@@ -515,11 +514,6 @@ def test_exact_rank_refuses_ragged_or_mismatched_tables():
         with pytest.raises(ParameterOutOfRange):
             exact_rank(*args)
     assert exact_rank([[1, 0], [0, 1]], [[0, 0], [0, 0]]) == 2
-    # a first-pass rank must lie in 0..min(rows, cols)
-    for first in (-1, 3):
-        with pytest.raises(ParameterOutOfRange):
-            exact_rank([[1, 0], [0, 1]], [[0, 0], [0, 0]], first_pass=first)
-    assert exact_rank([[1, 0], [0, 1]], [[0, 0], [0, 0]], first_pass=2) == 2
 
 
 def test_multiplicity_exact_rational_fixture():
@@ -536,28 +530,37 @@ def _counting_exact_rank(monkeypatch) -> list:
     seen = []
     kernel = spectra_mod.exact_rank
 
-    def counting(rows, im=None, **kw):
-        seen.append((rows, im, kw))
-        return kernel(rows, im, **kw)
+    def counting(rows, im=None):
+        seen.append((rows, im))
+        return kernel(rows, im)
 
     monkeypatch.setattr(spectra_mod, "exact_rank", counting)
     return seen
 
 
 def test_multiplicity_exact_rational_ranks_through_exact_rank(monkeypatch):
-    # a full rank on B's residue table mod p0 is the answer: no shifted
-    # integer table is built and exact_rank is not reached
+    # a full rank on the slice's residues mod p0 is the answer: no shifted
+    # integer table is built, and neither exact_rank nor its certifying
+    # passes are reached
     seen = _counting_exact_rank(monkeypatch)
+    certified = []
+    certify = spectra_mod._certify
+
+    def counting_certify(re, im, best, full):
+        certified.append((re, im, best, full))
+        return certify(re, im, best, full)
+
+    monkeypatch.setattr(spectra_mod, "_certify", counting_certify)
     b = adjacency_matrix(cycle_graph(4))
     assert multiplicity(b, Fraction(1, 2)).multiplicity == 0
-    assert seen == []
-    # a deficient one certifies on exactly q*(d*B) - p*d*I, here d = 1 and
-    # lambda = p/q = 0, continuing from the first pass's rank 2
+    assert seen == [] and certified == []
+    # a deficient one is certified on exactly q*(d*B) - p*d*I, here with
+    # d = 1 and lambda = p/q = 0, from the first pass's rank 2
     assert multiplicity(b, Fraction(0)).multiplicity == 2
-    ((re, im, kw),) = seen
+    ((re, im, best, full),) = certified
     assert re == [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
-    assert im == [[0] * 4] * 4
-    assert kw == {"first_pass": 2}
+    assert im == [[0] * 4] * 4 and (best, full) == (2, 4)
+    assert seen == []
 
 
 def _shifted_tables(b: HermitianMatrix, ids: list[int], lam: Fraction) -> tuple[list, list]:
@@ -572,8 +575,9 @@ def _shifted_tables(b: HermitianMatrix, ids: list[int], lam: Fraction) -> tuple[
 
 def test_residue_route_equals_the_rank_of_shifted_tables():
     """multiplicity and submatrix_multiplicity, which take their first pass
-    on B's residue table, equal len(ids) - exact_rank of the shifted integer
-    tables, on random matrices in S(G) and random vertex slices."""
+    on the slice's residues mod p0, equal len(ids) - exact_rank of
+    q*(d*B) - p*d*I, tables the test builds from the entries, on random
+    matrices in S(G) and random vertex slices."""
     rng = random.Random(16)
     deficient = 0
     for n in range(1, 11):
@@ -600,8 +604,8 @@ def test_residue_route_equals_the_rank_of_shifted_tables():
 
 
 def test_residue_route_falls_back_when_p0_divides_q(monkeypatch):
-    # q is no unit mod p0, so the residues cannot be shifted: the integer
-    # tables take a full first pass in exact_rank
+    # q is no unit mod p0, so the residues cannot be shifted: exact_rank
+    # takes the integer tables whole
     p0 = spectra_mod._prime_table(1)[0][0]
     seen = _counting_exact_rank(monkeypatch)
     for k in (1, 3):
@@ -610,7 +614,7 @@ def test_residue_route_falls_back_when_p0_divides_q(monkeypatch):
         assert multiplicity(b, lam).multiplicity == 0
         assert multiplicity(b, lam + 1).multiplicity == 1
         assert submatrix_multiplicity(b, [1], lam) == 1
-    assert len(seen) == 6 and all(kw == {"first_pass": None} for _, _, kw in seen)
+    assert len(seen) == 6
 
 
 def test_residue_route_certifies_tables_singular_mod_p0():

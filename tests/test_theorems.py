@@ -10,6 +10,7 @@ import pytest
 
 import specmult
 import specmult.hermitian as hermitian_mod
+import specmult.theorems as theorems_mod
 from specmult.errors import (
     AmbiguousCluster,
     DimensionMismatch,
@@ -588,21 +589,23 @@ def test_interlace_edge():
 
 def _interlace_edge_against_from_rows(g, b, lam, u, v):
     """interlace-e's rhs on (u, v) equals the multiplicity in the same
-    matrix with the edge's entries zeroed, built by from_rows."""
+    matrix with the edge's entries zeroed, built by from_rows, and the
+    edge-zeroed matrix it asks has that matrix's entries and cleared
+    tables."""
     rep = lemma_relation_checks(g, b, lam, RelationProbe("interlace-e", edge=(u, v)))
     rows = [list(r) for r in b.entries]
     rows[u][v] = rows[v][u] = ExactComplex(0)
     zeroed = HermitianMatrix.from_rows(rows)
     assert rep.rhs == multiplicity(zeroed, lam).multiplicity, (b.entries, lam, (u, v))
     assert rep.lhs == multiplicity(b, lam).multiplicity
-    handed = hermitian_mod._zero_edge(b, u, v)
-    assert handed.cleared == zeroed.cleared and handed.residues == zeroed.residues
-    return handed
+    asked = theorems_mod._zero_edge(b, u, v)
+    assert asked.entries == zeroed.entries and asked.cleared == zeroed.cleared
+    return asked
 
 
-def test_interlace_edge_reuses_the_cleared_tables():
-    """The edge-zeroed matrix takes B's cleared tables and residues with the
-    two entries zeroed, and d drops to the lcm of what is left."""
+def test_interlace_edge_matches_the_matrix_built_from_rows():
+    """interlace-e's edge-zeroed matrix answers as the same matrix built by
+    from_rows, and its d is the lcm of the denominators left."""
     rng = random.Random(16)
     for _ in range(40):
         n = rng.randint(2, 9)
@@ -614,7 +617,7 @@ def test_interlace_edge_reuses_the_cleared_tables():
         for lam in (Fraction(0), Fraction(1), b.entries[u][u].re, b.entries[v][v].re):
             _interlace_edge_against_from_rows(g, b, lam, u, v)
     # the edge (0, 1) carries the only non-integer entry, so d drops from 6
-    # to 1
+    # to 1 once it is zeroed
     p3 = path_graph(3)
     b = HermitianMatrix.from_rows(
         [[1, ExactComplex(Fraction(1, 2), Fraction(1, 3)), 0],
@@ -624,8 +627,8 @@ def test_interlace_edge_reuses_the_cleared_tables():
     assert _interlace_edge_against_from_rows(p3, b, Fraction(1), 0, 1).cleared[0] == 1
     # d = 12 drops to 4 when the edge held the only factor 3
     b = HermitianMatrix.from_rows([[Fraction(1, 4), Fraction(1, 3)], [Fraction(1, 3), 0]])
-    handed = _interlace_edge_against_from_rows(Graph(2, [(0, 1)]), b, Fraction(1, 4), 0, 1)
-    assert b.cleared[0] == 12 and handed.cleared == (4, ((1, 0), (0, 0)), ((0, 0), (0, 0)))
+    zeroed = _interlace_edge_against_from_rows(Graph(2, [(0, 1)]), b, Fraction(1, 4), 0, 1)
+    assert b.cleared[0] == 12 and zeroed.cleared == (4, ((1, 0), (0, 0)), ((0, 0), (0, 0)))
 
 
 def test_composition_transfer():
