@@ -10,8 +10,11 @@ discrepancy was recorded.
 Eigenvalues: --lambda takes an exact rational ("3", "-5/2", "1.25"; use
 --lambda=-5/2 for negatives so the shell parser does not eat the dash).
 Algebraic eigenvalues take --lambda-minpoly "c0,c1,...,cd" (integer
-coefficients, lowest degree first) with --near FLOAT to pick a real root
-when the polynomial has several.
+coefficients, lowest degree first; any squarefree polynomial with the
+eigenvalue as a root) with --near FLOAT to pick a real root when the
+polynomial has several: the root whose certified isolating interval holds
+FLOAT. A polynomial that is not squarefree, or a locator midway between two
+roots, is refused.
 
 check reads every relation off the matrix in S(G) (--matrix FILE, or the
 adjacency matrix): gain-cycle takes alpha from its constant diagonal and
@@ -36,7 +39,7 @@ from .hermitian import (
     validate_pattern,
 )
 from .oracle import CAMPAIGNS, CampaignConfig, run_campaign
-from .spectra import AlgebraicEigenvalue, IntPolynomial, _real_roots, multiplicity
+from .spectra import AlgebraicEigenvalue, IntPolynomial, multiplicity
 from .structure import structure_report
 from .theorems import (
     RELATIONS,
@@ -78,21 +81,7 @@ def _parse_lambda(args):
             raise ParameterOutOfRange(
                 "--lambda-minpoly wants comma-separated integers"
             ) from None
-        poly = IntPolynomial(coeffs)
-        if poly.degree < 1:
-            raise ParameterOutOfRange("minimal polynomial must be nonconstant")
-        reals = _real_roots(poly.coeffs)
-        if not reals:
-            raise ParameterOutOfRange("the supplied polynomial has no real root")
-        if args.near is not None:
-            loc = min(reals, key=lambda r: abs(r - args.near))
-        elif len(reals) == 1:
-            loc = reals[0]
-        else:
-            raise ParameterOutOfRange(
-                f"polynomial has {len(reals)} real roots; pick one with --near"
-            )
-        return AlgebraicEigenvalue(poly, loc)
+        return AlgebraicEigenvalue.real_root(IntPolynomial(coeffs), args.near)
     raw = getattr(args, "lam", None)
     if raw is None:
         raise ParameterOutOfRange("an eigenvalue is required (--lambda or --lambda-minpoly)")

@@ -18,18 +18,19 @@ lambda-independent half, structure._structure(g).form_d, which the
 classifier then reuses; it is asked only when 3*theta + 1 <= n, since
 fewer vertices cannot hold theta disjoint cycle pieces and a major.
 
-Profiles, squarefree splits and the exact root descriptors of a squarefree
-part are pure functions of the exact integer coefficient tuple, and the
-n <= 7 sweep has only 962 distinct characteristic polynomials among
-1,893,731 graphs, so each is memoised by coefficient tuple (_cached_profile,
-_spectral_parts, and per part _part_roots, _factored_roots and
-_root_descriptors). The sweep proves the bound from the integer-only
-profile and classifies each eigenvalue at the multiplicity of its
-squarefree part; certified_spectrum reads the same split. Either way a part
-is rooted once, and factored once at most: when its exact eigenvalues are
-read, or when the root finder loses one of its roots. Classifier
-verdicts are never reused: every labeled graph is still classified on its
-own.
+Profiles, squarefree splits and the exact roots of a squarefree part are
+pure functions of the exact integer coefficient tuple, and the n <= 7 sweep
+has only 962 distinct characteristic polynomials among 1,893,731 graphs, so
+each is memoised by coefficient tuple (_cached_parts, _cached_profile, and
+per part _part_eigenvalues). The sweep proves the bound from the Z[x]
+profile and classifies each eigenvalue at the multiplicity of its part in
+the same Z[x] split. It names each root by its part and a certified
+isolating interval (spectra._isolate), an integer root as a Fraction, and
+spectra counts it in a slice charpoly by gcd rounds, so the sweep neither
+factors nor imports sympy. certified_spectrum still reads sympy's split and
+factors a part when a cluster's lam is read, or when the root finder loses
+one of its roots. Classifier verdicts are never reused: every labeled graph
+is still classified on its own.
 
 run_campaign alone resolves a campaign's cap: None means the campaign's
 default, any other value is used as given, and a value above the campaign's
@@ -46,7 +47,6 @@ the raised TimeBudgetExceeded.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import random
 import re
@@ -90,7 +90,13 @@ from .hermitian import (
 from .spectra import (
     AlgebraicEigenvalue,
     IntPolynomial,
+    _int_derivative,
+    _int_div_exact,
+    _int_gcd_poly,
+    _int_primitive,
+    _isolate,
     _real_roots,
+    _sign_at,
     describe_eigenvalue,
     eigenvalue_float,
     eigenvalues_numeric,
@@ -416,97 +422,30 @@ def enumerate_theta_infinity(max_param: int = CAP_THETA_INFTY_PARAM) -> Iterator
 
 
 # ---------------------------------------------------------------------------
-# Integer-only multiplicity profiles
+# Integer-only squarefree split
 #
-# Independent of the spectra module's sympy factorisation (the tests check
-# the profiles against sympy's squarefree decomposition): primitive
-# pseudo-remainder gcds keep the whole decomposition in Z[x], which is what
-# makes the exhaustive n <= 7 sweep affordable.
+# Independent of sympy (the tests check the parts against sympy's
+# squarefree decomposition): Yun's algorithm over primitive pseudo-remainder
+# gcds keeps the whole decomposition in Z[x], which is what makes the
+# exhaustive n <= 7 sweep affordable.
 
 
-def _int_primitive(c: list) -> tuple:
-    while c and c[-1] == 0:
-        c.pop()
-    if not c:
-        return ()
-    g = 0
-    for x in c:
-        if x:
-            g = math.gcd(g, x)
-    if c[-1] < 0:
-        g = -g
-    return tuple(x // g for x in c)
-
-
-def _int_prem(a, b) -> list:
-    """Pseudo-remainder of a mod b; content is irrelevant to the caller."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    while len(r) - 1 >= db and r:
-        t = r[-1]
-        if t == 0:
-            r.pop()
-            continue
-        k = len(r) - 1 - db
-        if lb != 1:
-            r = [lb * x for x in r]
-        for j in range(db + 1):
-            r[k + j] -= t * b[j]
-        r.pop()
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
-def _int_gcd_poly(a, b) -> tuple:
-    a = _int_primitive(list(a))
-    b = _int_primitive(list(b))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _int_prem(a, b)
-        a, b = b, _int_primitive(r)
-    return tuple(a)
-
-
-def _int_div_exact(a, b) -> tuple:
-    out = [0] * (len(a) - len(b) + 1)
-    r = list(a)
-    lb = b[-1]
-    db = len(b) - 1
-    for k in range(len(a) - len(b), -1, -1):
-        t = r[k + db]
-        q = t // lb
-        if q * lb != t:
-            raise AssertionError("inexact integer polynomial division")
-        out[k] = q
-        if q:
-            for j in range(db + 1):
-                r[k + j] -= q * b[j]
-    if any(r):
-        raise AssertionError("nonzero remainder in exact division")
-    return tuple(out)
-
-
-def _int_derivative(a) -> tuple:
-    return tuple(j * a[j] for j in range(1, len(a)))
-
-
-def int_multiplicity_profile(coeffs) -> dict[int, int]:
-    """Map each eigenvalue multiplicity to the summed degree carrying it.
-
-    E.g. a charpoly (x-1)^2 (x-2)^2 (x-3) profiles to {2: 2, 1: 1}. Runs a
-    squarefree decomposition entirely in Z[x]; only degrees are kept.
+def int_squarefree_parts(coeffs) -> list[tuple[IntPolynomial, int]]:
+    """Squarefree split of an integer polynomial: pairwise coprime primitive
+    squarefree parts f_k with positive leading coefficient, each with its
+    k, such that the polynomial is c * prod f_k^k (D. Y. Y. Yun, "On
+    square-free decomposition algorithms", SYMSAC 1976), sorted by (degree,
+    coefficients) as spectra.squarefree_parts orders sympy's; constants
+    dropped. Runs entirely in Z[x].
     """
     f = _int_primitive(list(coeffs))
     deg_f = len(f) - 1
     if deg_f < 1:
-        return {}
+        return []
     fp = _int_derivative(f)
     g = _int_gcd_poly(f, fp)
     if len(g) == 1:
-        return {1: deg_f}
+        return [(IntPolynomial(f), 1)]
     w = _int_div_exact(f, g)
     y = _int_div_exact(fp, g)
     wp = _int_derivative(w)
@@ -515,14 +454,14 @@ def int_multiplicity_profile(coeffs) -> dict[int, int]:
         z[j] -= c
     while z and z[-1] == 0:
         z.pop()
-    profile: dict[int, int] = {}
+    parts = []
     i = 1
     while len(w) > 1:
         if i > deg_f:
             raise AssertionError("squarefree decomposition failed to terminate")
         a = _int_gcd_poly(w, tuple(z))
         if len(a) > 1:
-            profile[i] = profile.get(i, 0) + len(a) - 1
+            parts.append((IntPolynomial(a), i))
         w = _int_div_exact(w, a)
         z = list(_int_div_exact(tuple(z), a))
         wp = _int_derivative(w)
@@ -534,16 +473,39 @@ def int_multiplicity_profile(coeffs) -> dict[int, int]:
         while z and z[-1] == 0:
             z.pop()
         i += 1
-    if sum(k * d for k, d in profile.items()) != deg_f:
-        raise AssertionError("multiplicity profile does not add up")
+    if sum(k * a.degree for a, k in parts) != deg_f:
+        raise AssertionError("squarefree parts do not add up to the degree")
+    parts.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    return parts
+
+
+def _profile(parts) -> dict[int, int]:
+    profile: dict[int, int] = {}
+    for f, k in parts:
+        profile[k] = profile.get(k, 0) + f.degree
     return profile
+
+
+def int_multiplicity_profile(coeffs) -> dict[int, int]:
+    """Map each eigenvalue multiplicity to the summed degree carrying it.
+
+    E.g. a charpoly (x-1)^2 (x-2)^2 (x-3) profiles to {2: 2, 1: 1}: the
+    degrees of int_squarefree_parts.
+    """
+    return _profile(int_squarefree_parts(coeffs))
+
+
+@lru_cache(maxsize=4096)
+def _cached_parts(coeffs: tuple) -> tuple:
+    """int_squarefree_parts(coeffs), memoised, as a tuple."""
+    return tuple(int_squarefree_parts(coeffs))
 
 
 @lru_cache(maxsize=4096)
 def _cached_profile(coeffs: tuple) -> Mapping[int, int]:
-    """int_multiplicity_profile(coeffs), memoised; read-only because every
-    caller with the same coefficients shares it."""
-    return MappingProxyType(int_multiplicity_profile(coeffs))
+    """The profile of _cached_parts(coeffs), memoised; read-only because
+    every caller with the same coefficients shares it."""
+    return MappingProxyType(_profile(_cached_parts(coeffs)))
 
 
 def _batched_charpoly(a_batch: np.ndarray) -> np.ndarray:
@@ -628,7 +590,9 @@ def _factored_roots(coeffs: tuple) -> tuple:
 
     All such roots are real, so a factor of degree k that yields fewer than
     k real roots means the root finder lost one: that raises rather than
-    returning a short spectrum.
+    returning a short spectrum. Each root carries its factor's certified
+    isolating interval (spectra._isolate), so it is not checked again as a
+    public AlgebraicEigenvalue would be.
     """
     f = IntPolynomial(coeffs)
     factors = [(f, 1)] if f.degree == 1 else irreducible_factors(f)
@@ -642,7 +606,10 @@ def _factored_roots(coeffs: tuple) -> tuple:
             raise AssertionError(
                 f"factor {factor} of degree {factor.degree} yielded {len(found)} real roots"
             )
-        roots.extend(AlgebraicEigenvalue(factor, r) for r in found)
+        roots.extend(
+            AlgebraicEigenvalue(factor, approx, (lo, hi))
+            for approx, lo, hi in _isolate(factor.coeffs, factor.degree)
+        )
     return tuple(sorted(roots, key=eigenvalue_float))
 
 
@@ -703,6 +670,29 @@ def _spectral_parts(coeffs: tuple) -> tuple:
     return tuple(
         (f, mult, _part_roots(f.coeffs)) for f, mult in squarefree_parts(IntPolynomial(coeffs))
     )
+
+
+@lru_cache(maxsize=4096)
+def _part_eigenvalues(coeffs: tuple) -> tuple:
+    """Exact descriptors of every root of the squarefree part f with these
+    coefficients (a part of a Hermitian characteristic polynomial, so all
+    deg f roots are real), ascending, without factoring: the root of a
+    linear part, and an integer k in a root's isolating interval where f(k)
+    = 0, is a Fraction; any other root is an AlgebraicEigenvalue carrying f
+    and the interval. Memoised, so a part is isolated once; a part that
+    does not yield deg f certified roots raises AssertionError (_isolate).
+    """
+    f = IntPolynomial(coeffs)
+    if f.degree == 1:
+        return (Fraction(-coeffs[0], coeffs[1]),)
+    out: list = []
+    for approx, lo, hi in _isolate(coeffs, f.degree):
+        k = round(approx)
+        if lo < k < hi and _sign_at(coeffs, k) == 0:
+            out.append(Fraction(k))
+        else:
+            out.append(AlgebraicEigenvalue(f, approx, (lo, hi)))
+    return tuple(out)
 
 
 def certified_spectrum(b: HermitianMatrix) -> list[CertifiedCluster]:
@@ -1435,10 +1425,10 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
                 if g_obj is None:
                     g_obj = Graph(n, _mask_edges(mask, slots))
                 a = adjacency_matrix(g_obj)
-                for f, mult, _ in _spectral_parts(charpoly):
+                for f, mult in _cached_parts(charpoly):
                     if not (need_all or mult == bound - 1):
                         continue
-                    for lam in _root_descriptors(f.coeffs):
+                    for lam in _part_eigenvalues(f.coeffs):
                         _check_classifier(rec, key, g_obj, a, lam, mult, bound=bound)
 
 

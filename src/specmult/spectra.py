@@ -18,23 +18,31 @@ mod p0 they are q^-1 times q*(d*B) - p*d*I, so they have its rank mod p0.
 A full rank there is the rank, and no integer table is built. A deficient
 one (or p0 | q) builds the shift in Z as q*(d*B) - p*d*I, and further
 primes, proven by Miller-Rabin to the bases 2..41, certify its rank until
-their product exceeds Hadamard's bound on the next larger minors. Algebraic
-eigenvalues, described by their minimal polynomial, go through the one
-integer characteristic polynomial route, Faddeev-LeVerrier on d*B (or on
-the slice), and division by the minimal polynomial of d*lambda. The
-recursion runs multimodularly: over F_p for as many primes p = 1 (mod 4)
-below 2**26 as a proven coefficient bound needs, i standing for a square
-root of -1 mod p, each step one batched int64 numpy product over all the
-primes; Garner's CRT lifts the residues to the exact integers, and three
-identities (the two top coefficients from the entries, and Jacobi's
-formula for the deleted charpolys) are asserted on the result.
-deletion_multiplicities reads the charpolys of every B - v off the same
-run and divides them the same way, a rational p/q taking the minimal
-polynomial q*x - p. Two memos hold pure functions of integer tuples: the
-charpoly (with the vertex-deleted charpolys) of a cleared table, and the
-division count of a charpoly by a minimal polynomial, which the conjugate
-roots of one irreducible factor share. hermitian.validate_pattern checks
-exact matrices on the cleared tables as well.
+their product exceeds Hadamard's bound on the next larger minors.
+
+An algebraic eigenvalue is named without factoring, by a squarefree
+integer polynomial f (its minimal polynomial, or a squarefree part of a
+characteristic polynomial) and an isolating interval (lo, hi) that holds
+its one root of f; the interval is certified by exact signs of f at
+rational points (_isolate). It goes through the one integer characteristic
+polynomial route, Faddeev-LeVerrier on d*B (or on the slice), and its
+multiplicity in that charpoly q is the number of rounds q <- q / gcd(q, f)
+in which the gcd changes sign on (lo, hi) (_gcd_rounds), for the
+polynomial and interval of d*lambda. The recursion runs multimodularly:
+over F_p for as many primes p = 1 (mod 4) below 2**26 as a proven
+coefficient bound needs, i standing for a square root of -1 mod p, each
+step one batched int64 numpy product over all the primes; Garner's CRT
+lifts the residues to the exact integers, and three identities (the two
+top coefficients from the entries, and Jacobi's formula for the deleted
+charpolys) are asserted on the result. deletion_multiplicities reads the
+charpolys of every B - v off the same run and counts the same rounds, a
+rational r = p/q taking its linear polynomial q*x - p on (r - 1, r + 1).
+Memos hold pure functions of exact inputs: the charpoly (with the
+vertex-deleted charpolys) of a cleared table, the isolating intervals of
+a polynomial, the round gcds of a charpoly against a polynomial, which all
+its roots share, and the rounds at one root, which the graphs with equal
+charpolys share. hermitian.validate_pattern checks exact
+matrices on the cleared tables as well.
 
 Numeric route: Hermitian eigendecomposition with a residual bound of
 10 * n * eps * ||B||  (c = 10; ||B|| is the spectral norm read off the
@@ -48,11 +56,12 @@ Polynomials are coefficient tuples, lowest degree first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -132,6 +141,235 @@ def _real_roots(coeffs: Sequence[int]) -> list[float]:
     """
     arr = np.roots(list(reversed(coeffs)))
     return sorted(float(r.real) for r in arr if abs(complex(r).imag) < 1e-9)
+
+
+# Integer polynomial arithmetic in Z[x]: primitive pseudo-remainder gcds
+# keep every coefficient an integer, with no Fraction and no sympy.
+
+
+def _int_primitive(c: list) -> tuple:
+    """The primitive part of c, leading coefficient positive (c is consumed)."""
+    while c and c[-1] == 0:
+        c.pop()
+    if not c:
+        return ()
+    g = 0
+    for x in c:
+        if x:
+            g = math.gcd(g, x)
+    if c[-1] < 0:
+        g = -g
+    return tuple(x // g for x in c)
+
+
+def _int_prem(a, b) -> list:
+    """A positive multiple of the remainder of a mod b, in Z[x]: each step
+    scales by |lead(b)|, so the sign survives (Sturm chains need it)."""
+    db = len(b) - 1
+    lb = b[-1]
+    scale = abs(lb)
+    r = list(a)
+    while len(r) - 1 >= db and r:
+        t = r[-1]
+        if t == 0:
+            r.pop()
+            continue
+        k = len(r) - 1 - db
+        if scale != 1:
+            r = [scale * x for x in r]
+        if lb < 0:
+            t = -t
+        for j in range(db + 1):
+            r[k + j] -= t * b[j]
+        r.pop()
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _int_gcd_poly(a, b) -> tuple:
+    """The primitive gcd of a and b in Z[x], leading coefficient positive."""
+    a = _int_primitive(list(a))
+    b = _int_primitive(list(b))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _int_prem(a, b)
+        a, b = b, _int_primitive(r)
+    return tuple(a)
+
+
+def _int_div_exact(a, b) -> tuple:
+    """a / b in Z[x], which must divide exactly (AssertionError otherwise)."""
+    out = [0] * (len(a) - len(b) + 1)
+    r = list(a)
+    lb = b[-1]
+    db = len(b) - 1
+    for k in range(len(a) - len(b), -1, -1):
+        t = r[k + db]
+        q = t // lb
+        if q * lb != t:
+            raise AssertionError("inexact integer polynomial division")
+        out[k] = q
+        if q:
+            for j in range(db + 1):
+                r[k + j] -= q * b[j]
+    if any(r):
+        raise AssertionError("nonzero remainder in exact division")
+    return tuple(out)
+
+
+def _int_derivative(a) -> tuple:
+    return tuple(j * a[j] for j in range(1, len(a)))
+
+
+# ---------------------------------------------------------------------------
+# Certified real roots: an isolating interval per root
+#
+# A real root of a squarefree integer polynomial f is named exactly by f
+# and an interval (lo, hi), with rational ends where f does not vanish, that
+# holds no other root of f. Every question about the root is then a sign
+# question: a divisor g of f vanishes at it exactly when g changes sign on
+# (lo, hi), since g has at most that one root there.
+
+
+def _sign_at(coeffs: Sequence[int], a: int, b: int = 1) -> int:
+    """The sign of the integer polynomial at the rational a/b, b > 0,
+    exactly: the homogeneous Horner sum of c_j a^j b^(k-j) is b^k f(a/b)."""
+    acc, power = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * power
+        power *= b
+    return (acc > 0) - (acc < 0)
+
+
+def _root_bound(coeffs: Sequence[int]) -> Fraction:
+    """A power of two B with every complex root of the polynomial inside
+    |z| < B (Cauchy: |z| < 1 + max |c_j / c_k|)."""
+    top = max(abs(c) for c in coeffs[:-1]) if len(coeffs) > 1 else 0
+    return Fraction(1 << max(top.bit_length() - abs(coeffs[-1]).bit_length() + 2, 1))
+
+
+def _sturm_chain(coeffs: tuple) -> list[tuple]:
+    """Sturm's sequence f, f', -rem(f, f'), ... with each member a positive
+    multiple of the textbook one, so the signs are Sturm's. The last member
+    is gcd(f, f') up to a constant: of degree 0 exactly when f is
+    squarefree."""
+    chain = [tuple(coeffs), _int_derivative(coeffs)]
+    while len(chain[-1]) > 1:
+        r = _int_prem(chain[-2], chain[-1])
+        if not r:
+            break
+        g = math.gcd(*r)
+        chain.append(tuple(-x // g for x in r))
+    return chain
+
+
+def _variations(chain: Sequence[tuple], x: Fraction) -> int:
+    """Sign changes along the Sturm chain at x. For a and b no roots of f,
+    V(a) - V(b) counts the roots of f in (a, b) (Sturm's theorem)."""
+    signs = [s for s in (_sign_at(p, *x.as_integer_ratio()) for p in chain) if s]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+@lru_cache(maxsize=4096)
+def _isolate(coeffs: tuple, count: int) -> tuple[tuple[float, Fraction, Fraction], ...]:
+    """(approx, lo, hi) for each real root of the squarefree integer
+    polynomial f with these coefficients, ascending, given that f has
+    exactly count distinct real roots. Each (lo, hi) holds exactly one root,
+    and the intervals partition (-B, B) of _root_bound. Memoised by
+    coefficients, so a part is isolated once.
+
+    The certificate: take the count float roots of _real_roots and the
+    dyadic midpoints between neighbours, and evaluate the sign of f at each
+    midpoint exactly. The sign at -infinity is (-1)^k sign(lead) and at
+    +infinity sign(lead), k = deg f. If the signs alternate across all
+    count + 1 points, every one of the count intervals holds an odd number
+    of roots, so each holds exactly one. Otherwise (a lost, moved or
+    complex-looking root) the roots are isolated by bisection with Sturm
+    counts, which need no float at all; AssertionError when f does not have
+    count real roots after all.
+    """
+    if count == 0:
+        return ()
+    k = len(coeffs) - 1
+    bound = _root_bound(coeffs)
+    lead = 1 if coeffs[-1] > 0 else -1
+    floats = _real_roots(coeffs)
+    if len(floats) == count:
+        cuts = [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(floats, floats[1:])]
+        signs = [-lead if k % 2 else lead, *(_sign_at(coeffs, *c.as_integer_ratio()) for c in cuts), lead]
+        if all(s * t < 0 for s, t in zip(signs, signs[1:])):
+            edges = [-bound, *cuts, bound]
+            return tuple(zip(floats, edges, edges[1:]))
+    return _isolate_by_bisection(coeffs, count, bound, floats)
+
+
+def _isolate_by_bisection(coeffs: tuple, count: int, bound: Fraction, floats: list[float]) -> tuple:
+    """_isolate's refinement: halve (-B, B) until Sturm's theorem counts one
+    root in each piece, a split point never being a root. The float of a
+    root is a given float inside its piece, or else the piece halved by
+    signs down to float resolution."""
+    chain = _sturm_chain(coeffs)
+    pieces = []
+    stack = [(-bound, _variations(chain, -bound), bound, _variations(chain, bound))]
+    if stack[0][1] - stack[0][3] != count:
+        raise AssertionError(
+            f"{IntPolynomial(coeffs)} has {stack[0][1] - stack[0][3]} real roots, expected {count}"
+        )
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va - vb == 1:
+            pieces.append((a, b))
+        elif va - vb > 1:
+            m = (a + b) / 2
+            while _sign_at(coeffs, *m.as_integer_ratio()) == 0:
+                m = (m + b) / 2
+            vm = _variations(chain, m)
+            stack += [(m, vm, b, vb), (a, va, m, vm)]
+    pieces.sort()
+    out = []
+    for i, (a, b) in enumerate(pieces):
+        approx = next((x for x in floats if a < x < b), None)
+        if approx is None:
+            lo, hi, s_lo = a, b, _sign_at(coeffs, *a.as_integer_ratio())
+            while float(lo) != float(hi):
+                m = (lo + hi) / 2
+                s = _sign_at(coeffs, *m.as_integer_ratio())
+                if s == 0:
+                    lo = hi = m
+                elif s == s_lo:
+                    lo = m
+                else:
+                    hi = m
+            approx = float(lo)
+        # the cells meet at the lower end of each next piece, where f is
+        # nonzero and which lies above this piece's root
+        cell_hi = pieces[i + 1][0] if i + 1 < len(pieces) else bound
+        out.append((approx, -bound if i == 0 else a, cell_hi))
+    return tuple(out)
+
+
+@lru_cache(maxsize=1024)
+def _squarefree_chain(poly: "IntPolynomial") -> tuple[tuple, ...]:
+    """The Sturm chain of a polynomial that enters as a public
+    AlgebraicEigenvalue; ParameterOutOfRange unless it is nonconstant and
+    squarefree. Memoised: it is checked once per polynomial."""
+    if poly.degree < 1:
+        raise ParameterOutOfRange("minimal polynomial must be nonconstant")
+    chain = _sturm_chain(poly.coeffs)
+    if len(chain[-1]) > 1:
+        raise ParameterOutOfRange(f"{poly} is not squarefree: it shares a factor with its derivative")
+    return tuple(chain)
+
+
+@lru_cache(maxsize=1024)
+def _real_isolation(poly: "IntPolynomial") -> tuple[tuple[float, Fraction, Fraction], ...]:
+    """_isolate over every real root of a nonconstant squarefree integer
+    polynomial, counted by Sturm's theorem."""
+    chain = _squarefree_chain(poly)
+    bound = _root_bound(poly.coeffs)
+    return _isolate(poly.coeffs, _variations(chain, -bound) - _variations(chain, bound))
 
 
 @dataclass(frozen=True)
@@ -307,28 +545,43 @@ def scale_minpoly(mu: IntPolynomial, scale, shift=0) -> IntPolynomial:
     return IntPolynomial(poly_primitive_int(acc))
 
 
-def multiplicity_via_minpoly(p: IntPolynomial, mu: IntPolynomial) -> int:
-    """Largest m >= 0 with mu^m dividing p exactly (over the rationals).
-
-    A non-monic divisor is fine; the division then runs over Fractions.
-    """
-    if mu.degree < 1:
-        raise ParameterOutOfRange("divisor must be nonconstant")
-    return _division_count(p.coeffs, mu.coeffs)
+@lru_cache(maxsize=4096)
+def _gcd_chain(q: tuple, f: tuple) -> tuple[tuple, ...]:
+    """The gcds of the rounds q <- q / gcd(q, f), while they are not
+    constant: g_1 = gcd(q, f) and g_(i+1) = gcd(q / (g_1 ... g_i), g_i),
+    which is gcd(q / (g_1 ... g_i), f) since each g_i divides f. A root of
+    the squarefree f of multiplicity m in q is a root of g_1, ..., g_m and
+    of no later one. A pure function of integer tuples, memoised: every
+    root of f shares it, and so do the graphs with equal charpolys."""
+    chain = []
+    g = f
+    while len(q) > 1:
+        g = _int_gcd_poly(q, g)
+        if len(g) == 1:
+            break
+        chain.append(g)
+        q = _int_div_exact(q, g)
+    return tuple(chain)
 
 
 @lru_cache(maxsize=4096)
-def _division_count(p: tuple[int, ...], mu: tuple[int, ...]) -> int:
-    # a pure function of two integer tuples; the conjugate roots of one
-    # irreducible factor share their minimal polynomial, so they share one
-    # division chain, and so do the many graphs with equal charpolys
-    rem = p
+def _gcd_rounds(q: tuple, f: tuple, lo: tuple[int, int], hi: tuple[int, int]) -> int:
+    """Multiplicity in the integer polynomial q of the one root of the
+    squarefree integer polynomial f in (lo, hi), whose ends, given as
+    integer pairs (a, b) for a/b with b > 0, are no roots of f: the number
+    of rounds of _gcd_chain whose gcd changes sign on (lo, hi). Each gcd
+    divides f, so it has at most that one root there, and a simple one,
+    which it has exactly when it changes sign. For an irreducible f this is
+    the number of times f divides q.
+
+    Memoised as well, since the sweep asks the same question of the same
+    slice charpoly many times. The ends are integer pairs, not Fractions,
+    because the memo hashes its key on every call.
+    """
     count = 0
-    while len(rem) > 1:
-        q, r = poly_divmod(rem, mu)
-        if r:
+    for g in _gcd_chain(q, f):
+        if _sign_at(g, *lo) == _sign_at(g, *hi):
             break
-        rem = q
         count += 1
     return count
 
@@ -681,16 +934,96 @@ def _rank_mod(work: list[list[int]], p: int) -> int:
 
 @dataclass(frozen=True)
 class AlgebraicEigenvalue:
-    """Real algebraic number described by its primitive integer minimal
-    polynomial (monic exactly when the number is an algebraic integer) plus
-    a floating locator for reporting."""
+    """Real algebraic number: the one root in its isolating interval (lo,
+    hi) of minpoly, a squarefree integer polynomial (its minimal polynomial,
+    or any squarefree multiple of it, such as a squarefree part of a
+    characteristic polynomial), plus a floating locator for reporting.
+
+    It is checked once, here, and ParameterOutOfRange names what fails.
+    minpoly must be nonconstant and squarefree. A given interval must hold
+    exactly one root, by Sturm's count, with f nonzero at its ends. Without
+    one, approx names the root whose isolating cell holds it (the cells of
+    _real_isolation meet midway between neighbouring float roots), which
+    fails when there is no real root or approx lies within 1e-9 (relative)
+    of the boundary of two cells. Equality reads minpoly and approx only.
+    """
 
     minpoly: IntPolynomial
     approx: float
+    interval: Optional[tuple[Fraction, Fraction]] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        if self.interval is None:
+            object.__setattr__(self, "interval", _locate_root(self.minpoly, self.approx)[1:])
+            return
+        lo, hi = map(Fraction, self.interval)
+        chain = _squarefree_chain(self.minpoly)
+        ends_nonzero = all(_sign_at(chain[0], *end.as_integer_ratio()) for end in (lo, hi))
+        if not (lo < hi and ends_nonzero and _variations(chain, lo) - _variations(chain, hi) == 1):
+            raise ParameterOutOfRange(f"({lo}, {hi}) does not isolate one root of {self.minpoly}")
+        object.__setattr__(self, "interval", (lo, hi))
 
     @classmethod
     def from_2cos(cls, n: int, k: int) -> "AlgebraicEigenvalue":
         return cls(min_poly_2cos(n, k), 2.0 * math.cos(2.0 * math.pi * k / n))
+
+    @classmethod
+    def real_root(cls, poly: IntPolynomial, near: Optional[float] = None) -> "AlgebraicEigenvalue":
+        """The real root of poly whose isolating cell holds near, or its
+        only real root when near is None, located by its float root."""
+        approx, lo, hi = _locate_root(poly, near)
+        return cls(poly, approx, (lo, hi))
+
+
+def _locate_root(poly: IntPolynomial, near: Optional[float]) -> tuple[float, Fraction, Fraction]:
+    """(approx, lo, hi) of the real root of poly named by near, as
+    AlgebraicEigenvalue describes; ParameterOutOfRange when there is none,
+    or no single one."""
+    roots = _real_isolation(poly)
+    if not roots:
+        raise ParameterOutOfRange(f"{poly} has no real root")
+    if near is None:
+        if len(roots) > 1:
+            raise ParameterOutOfRange(f"polynomial has {len(roots)} real roots; pick one with a locator")
+        return roots[0]
+    if not math.isfinite(near):
+        raise ParameterOutOfRange(f"root locator {near} is not finite")
+    cuts = [lo for _, lo, _ in roots[1:]]
+    i = bisect_left(cuts, near)
+    # a cut is the midpoint of two float roots, so a locator within float
+    # noise of one names neither root
+    slack = 1e-9 * max(1.0, abs(near))
+    if any(abs(near - cuts[j]) <= slack for j in (i - 1, i) if 0 <= j < len(cuts)):
+        raise ParameterOutOfRange(f"locator {near} lies midway between two roots of {poly}; move it toward one")
+    return roots[i]
+
+
+def _root_of(lam, d: int = 1) -> tuple[tuple, tuple[int, int], tuple[int, int]]:
+    """d*lambda, for an exact lambda and a positive integer d, as the one
+    root of a squarefree integer polynomial in an interval: (coeffs, lo,
+    hi), the ends as integer pairs (a, b) for a/b, b > 0, as _gcd_rounds
+    takes them. A rational r = p*d/q is the root of q*x - p*d in
+    (r - 1, r + 1)."""
+    if isinstance(lam, AlgebraicEigenvalue):
+        (a, b), (c, e) = (end.as_integer_ratio() for end in lam.interval)
+        return scale_minpoly(lam.minpoly, d).coeffs, (a * d, b), (c * d, e)
+    p, q = Fraction(lam).as_integer_ratio()
+    return (-p * d, q), (p * d - q, q), (p * d + q, q)
+
+
+def _same_root(a, b) -> bool:
+    """Are the exact eigenvalues a and b equal? Each is the one root of its
+    polynomial in its interval, so they are equal exactly when gcd(f_a,
+    f_b) changes sign on the intersection of the intervals: a root of the
+    gcd there is a root of f_a in a's interval and of f_b in b's."""
+    fa, alo, ahi = _root_of(a)
+    fb, blo, bhi = _root_of(b)
+    lo = max(Fraction(*alo), Fraction(*blo))
+    hi = min(Fraction(*ahi), Fraction(*bhi))
+    if lo >= hi:
+        return False
+    g = _int_gcd_poly(fa, fb)
+    return len(g) > 1 and _sign_at(g, *lo.as_integer_ratio()) != _sign_at(g, *hi.as_integer_ratio())
 
 
 EigenvalueLike = Union[int, Fraction, float, AlgebraicEigenvalue]
@@ -760,8 +1093,10 @@ def _exact_multiplicity(b: HermitianMatrix, ids: Sequence[int], lam) -> Multipli
     mod p0. A full rank there is the answer, and no integer table is built;
     a deficient one is certified on the integer tables from that rank (or,
     for p0 | q, exact_rank takes the integer tables whole). An algebraic
-    lambda divides the memoised charpoly of the slice by the minimal
-    polynomial of d*lambda.
+    lambda, the root of its squarefree polynomial f in its interval, counts
+    the gcd rounds (_gcd_rounds) of the memoised charpoly of the slice at
+    d*lambda: the root of f scaled by d in the interval scaled by d. f need
+    not be irreducible.
     """
     d, re, im = b.cleared
     n = len(ids)
@@ -770,7 +1105,7 @@ def _exact_multiplicity(b: HermitianMatrix, ids: Sequence[int], lam) -> Multipli
             re = tuple(tuple(re[i][j] for j in ids) for i in ids)
             im = tuple(tuple(im[i][j] for j in ids) for i in ids)
         charpoly, _ = _char_poly_of_tables(re, im)
-        m = multiplicity_via_minpoly(charpoly, scale_minpoly(lam.minpoly, d))
+        m = _gcd_rounds(charpoly.coeffs, *_root_of(lam, d))
         return MultiplicityResult(lam, m, "CharPolyDivision", 0.0)
     lam = Fraction(lam)
     p, q = lam.as_integer_ratio()
@@ -808,15 +1143,6 @@ def _shifted(
     return out_re, out_im
 
 
-def _minpoly(lam: EigenvalueLike) -> IntPolynomial:
-    """The primitive integer minimal polynomial of an exact lambda; q*x - p
-    for a rational p/q."""
-    if isinstance(lam, AlgebraicEigenvalue):
-        return lam.minpoly
-    p, q = Fraction(lam).as_integer_ratio()
-    return IntPolynomial((-p, q))
-
-
 def deletion_multiplicities(
     b: HermitianMatrix, lam: EigenvalueLike, vertices: Sequence[int], tol: float = 1e-8
 ) -> list[int]:
@@ -824,17 +1150,17 @@ def deletion_multiplicities(
     in vertices.
 
     On the exact route all of them come off the one memoised
-    Faddeev-LeVerrier run on d*B: each deleted charpoly is divided by the
-    primitive minimal polynomial of d*lambda (q*x - p*d, reduced, for a
-    rational p/q). That run costs more than one exact rank, so a single
+    Faddeev-LeVerrier run on d*B: each deleted charpoly counts its gcd
+    rounds at d*lambda (_root_of: a rational takes its linear polynomial).
+    That run costs more than one exact rank, so a single
     deletion is cheaper through submatrix_multiplicity(). Other inputs take
     the numeric cluster count of each submatrix.
     """
     if _takes_exact_route(b, lam):
         d, re, im = b.cleared
         _, deleted = _char_poly_of_tables(re, im)
-        nu = scale_minpoly(_minpoly(lam), d)
-        return [multiplicity_via_minpoly(IntPolynomial(deleted[v]), nu) for v in vertices]
+        root = _root_of(lam, d)
+        return [_gcd_rounds(deleted[v], *root) for v in vertices]
     return [
         submatrix_multiplicity(b, [u for u in range(b.n) if u != v], lam, tol) for v in vertices
     ]

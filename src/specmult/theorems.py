@@ -50,13 +50,12 @@ from .hermitian import (
 from .spectra import (
     AlgebraicEigenvalue,
     EigenvalueLike,
-    IntPolynomial,
+    _same_root,
     deletion_multiplicities,
     describe_eigenvalue,
     eigenvalue_float,
     min_poly_2cos,
     multiplicity,
-    poly_primitive_int,
     scale_minpoly,
     submatrix_multiplicity,
 )
@@ -705,17 +704,14 @@ def _gain_closed_forms(n: int, alpha, rho_pi: bool) -> list[tuple]:
 
 def _match_gain_eigenvalue(n, alpha, lam, rho_pi, tol, exact_mode):
     """Index j whose closed-form doubled eigenvalue equals lambda, if any.
-    Conjugate closed forms share a minimal polynomial, so an algebraic
-    lambda in exact mode takes, among the forms with its minimal
-    polynomial, the one whose value lies nearest its locator."""
+    In exact mode an exact lambda is compared by isolating interval
+    (spectra._same_root): conjugate closed forms share a minimal
+    polynomial chi but not an interval, and a form matches when gcd(chi,
+    f) changes sign where the two intervals meet, f lambda's polynomial."""
     forms = _gain_closed_forms(n, alpha, rho_pi)
     if not exact_mode:
         lam_f = eigenvalue_float(lam)
         return next((j for j, _, _, val in forms if abs(val - lam_f) <= max(tol, 1e-9)), None)
-    if isinstance(lam, AlgebraicEigenvalue):
-        lam_min = IntPolynomial(poly_primitive_int(lam.minpoly.coeffs))
-        same = [(abs(val - lam.approx), j) for j, chi, _, val in forms if chi.coeffs == lam_min.coeffs]
-        return min(same)[1] if same else None
-    if isinstance(lam, (int, Fraction)):
-        return next((j for j, _, exact, _ in forms if exact == lam), None)
+    if isinstance(lam, (AlgebraicEigenvalue, int, Fraction)):
+        return next((j for j, _, exact, _ in forms if _same_root(exact, lam)), None)
     return None

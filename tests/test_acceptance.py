@@ -20,7 +20,8 @@ from specmult.spectra import (
     AlgebraicEigenvalue,
     min_poly_2cos,
     multiplicity,
-    multiplicity_via_minpoly,
+    poly_divmod,
+    poly_mul,
     scaled_char_poly,
 )
 
@@ -102,8 +103,11 @@ def test_criterion_02_cycle_equality():
                 res = multiplicity(a, lam)
                 assert res.multiplicity == 2, (n, k)
                 assert res.method in ("ExactRank", "CharPolyDivision")
-                # literal route: exact power of the minimal polynomial
-                assert multiplicity_via_minpoly(charpoly, min_poly_2cos(n, k)) == 2
+                # literal route: the square of the minimal polynomial
+                # divides the charpoly, and its cube does not
+                mu = min_poly_2cos(n, k).coeffs
+                rest, rem = poly_divmod(charpoly.coeffs, poly_mul(mu, mu))
+                assert not rem and poly_divmod(rest, mu)[1]
         assert time.perf_counter() - t0 < 5.0
 
 

@@ -62,6 +62,28 @@ def test_mult_algebraic_minpoly(capsys, c5_file):
     assert code == 0 and json.loads(out)["multiplicity"] == 0
 
 
+def test_mult_minpoly_must_be_squarefree_and_may_be_reducible(capsys, tmp_path):
+    # K3 has the simple eigenvalue 2 and the double eigenvalue -1
+    k3 = tmp_path / "k3.graph"
+    k3.write_text(serialize_graph(cycle_graph(3)))
+    base = ["mult", "--graph", str(k3), "--near", "2", "--json"]
+    # (x - 2)^2 is no squarefree description of 2: refused, not answered 0
+    code, out, err = _run(capsys, base + ["--lambda-minpoly=4,-4,1"])
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "ParameterOutOfRange" and "squarefree" in err
+    # (x - 1)(x - 2) is reducible but squarefree: its root near 2 is simple
+    code, out, _ = _run(capsys, base + ["--lambda-minpoly=2,-3,1"])
+    assert code == 0 and json.loads(out)["multiplicity"] == 1
+    code, out, _ = _run(capsys, base[:-3] + ["--lambda-minpoly=2,-3,1", "--near", "-1.1", "--json"])
+    assert code == 0 and json.loads(out)["multiplicity"] == 0
+    # x^2 - 2 at 0: midway between its two roots, so it names neither
+    code, out, err = _run(capsys, base[:-3] + ["--lambda-minpoly=-2,0,1", "--near", "0", "--json"])
+    assert code == 1 and "midway" in json.loads(err)["message"]
+    # x^2 + 1 has no real root
+    code, _, err = _run(capsys, base + ["--lambda-minpoly=1,0,1"])
+    assert code == 1 and "no real root" in json.loads(err)["message"]
+
+
 def test_mult_numeric_mode(capsys, c5_file):
     code, out, _ = _run(capsys, ["mult", "--graph", c5_file, "--lambda", "2", "--numeric", "--json"])
     assert code == 0

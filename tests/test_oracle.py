@@ -10,6 +10,7 @@ import pytest
 import sympy
 
 import specmult.oracle as oracle_mod
+import specmult.spectra as spectra_mod
 from specmult.errors import CapExceeded, ParameterOutOfRange, TimeBudgetExceeded
 from specmult.graphs import (
     Graph,
@@ -39,6 +40,7 @@ from specmult.oracle import (
     enumerate_trees,
     enumerate_unicyclic,
     int_multiplicity_profile,
+    int_squarefree_parts,
     run_campaign,
 )
 from specmult.spectra import (
@@ -49,6 +51,7 @@ from specmult.spectra import (
     eigenvalue_float,
     irreducible_factors,
     scaled_char_poly,
+    squarefree_parts,
 )
 from specmult.structure import classify_family, is_tree
 from specmult.theorems import RelationProbe, _form_d_conditions, lemma_relation_checks
@@ -181,6 +184,14 @@ def test_int_multiplicity_profile_matches_fraction_route():
         for f, m in factors:
             ref[m] = ref.get(m, 0) + f.degree()
         assert prof == ref
+        # and the parts themselves, each primitive with a positive leading
+        # coefficient, in (degree, coefficients) order
+        parts = sorted(
+            (tuple(int(c) for c in reversed(f.all_coeffs())), m) for f, m in factors if f.degree() >= 1
+        )
+        parts = [(IntPolynomial(f if f[-1] > 0 else [-c for c in f]), m) for f, m in parts]
+        parts.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+        assert int_squarefree_parts(tuple(int(c) for c in coeffs)) == parts
 
 
 def test_int_multiplicity_profile_on_random_patterns():
@@ -368,10 +379,25 @@ def test_certified_spectrum_raises_on_a_lost_root(monkeypatch):
         certified_spectrum(adjacency_matrix(cycle_graph(5)))
 
 
-def test_connected_sweep_raises_on_a_lost_root(monkeypatch):
-    _drop_last_root(monkeypatch)
-    with pytest.raises(AssertionError, match="real roots"):
-        _run("connected", cap=5)
+def test_connected_sweep_repairs_a_lost_root(monkeypatch):
+    """The sweep isolates each part's roots by certified sign changes; a
+    root finder that loses a root fails the certificate, and the roots are
+    then isolated by Sturm bisection, so the sweep's answers do not move."""
+    want = _json_sha1(_run("connected", cap=5)[0])
+    oracle_mod._part_eigenvalues.cache_clear()
+    spectra_mod._isolate.cache_clear()
+    real = spectra_mod._real_roots
+    lost = []
+
+    def short(coeffs):
+        found = real(coeffs)
+        lost.append(len(found) > 1)
+        return found[:-1] if len(found) > 1 else found
+
+    monkeypatch.setattr(spectra_mod, "_real_roots", short)
+    summary, discrepancies = _run("connected", cap=5)
+    assert any(lost) and discrepancies == []
+    assert _json_sha1(summary) == want
 
 
 def test_certified_spectrum_raises_when_multiplicities_fall_short(monkeypatch):
@@ -536,22 +562,23 @@ def test_root_descriptors_pair_tightly_clustered_roots_or_raise(monkeypatch):
 
 
 def test_connected_sweep_split_agrees_with_the_integer_profile(monkeypatch):
-    """The sweep proves the bound from the Z[x] profile but classifies at the
-    squarefree split's multiplicities, so the two must agree on every
-    charpoly it meets."""
+    """The sweep proves the bound from the Z[x] profile and classifies at
+    the parts of the same Z[x] split, so the parts must be sympy's
+    squarefree split of every charpoly it meets, part for part."""
     charpolys = []
-    real = oracle_mod.int_multiplicity_profile
+    real = oracle_mod.int_squarefree_parts
 
     def recorded(coeffs):
         charpolys.append(coeffs)
         return real(coeffs)
 
-    monkeypatch.setattr(oracle_mod, "int_multiplicity_profile", recorded)
+    monkeypatch.setattr(oracle_mod, "int_squarefree_parts", recorded)
     summary, _ = _run("connected", cap=6)
     assert summary["instances"] == 27475
     assert len(charpolys) == len(set(charpolys)) > 100
     for c in charpolys:
-        split = {mult: f.degree for f, mult, _ in oracle_mod._spectral_parts(c)}
+        assert list(oracle_mod._cached_parts(c)) == squarefree_parts(IntPolynomial(c)), c
+        split = {mult: f.degree for f, mult in squarefree_parts(IntPolynomial(c))}
         assert split == dict(oracle_mod._cached_profile(c)), c
 
 
@@ -669,8 +696,8 @@ def _json_sha1(obj) -> str:
     return hashlib.sha1(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def test_connected_sweep_profiles_each_charpoly_and_factors_each_part_once(monkeypatch):
-    seen = {"int_multiplicity_profile": [], "irreducible_factors": [], "squarefree_parts": []}
+def test_connected_sweep_splits_each_charpoly_once_and_factors_nothing(monkeypatch):
+    seen = {"int_squarefree_parts": [], "irreducible_factors": [], "squarefree_parts": []}
     for name, calls in seen.items():
         real = getattr(oracle_mod, name)
 
@@ -686,13 +713,10 @@ def test_connected_sweep_profiles_each_charpoly_and_factors_each_part_once(monke
         for n in range(2, 6)
         for g in enumerate_connected(n)
     }
-    assert sorted(seen["int_multiplicity_profile"]) == sorted(charpolys)
-    split = seen["squarefree_parts"]
-    assert len(split) == len(set(split)) and set(split) <= charpolys
-    # the sweep factors squarefree parts only, each at most once
-    parts = {f.coeffs for c in split for f, _, _ in oracle_mod._spectral_parts(c)}
-    factored = seen["irreducible_factors"]
-    assert factored and len(factored) == len(set(factored)) and set(factored) <= parts
+    assert sorted(seen["int_squarefree_parts"]) == sorted(charpolys)
+    # the sweep names each eigenvalue by its part and an isolating
+    # interval: nothing goes through sympy's split or factoring
+    assert seen["squarefree_parts"] == seen["irreducible_factors"] == []
 
 
 def test_connected_sweep_cap6_summary_digest():

@@ -145,3 +145,24 @@ def test_importing_the_package_leaves_sympy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_a_passing_sweep_never_loads_sympy():
+    """The connected sweep names each eigenvalue by its squarefree part and a
+    certified isolating interval, and counts it by gcd rounds: a clean cap-6
+    sweep runs to the end without importing sympy."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "from specmult.oracle import CampaignConfig, run_campaign\n"
+        "summary, found = run_campaign(CampaignConfig('connected', cap=6))\n"
+        "print(summary['instances'], summary['checks'], len(found), 'sympy' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["27475", "71301", "0", "False"]

@@ -30,7 +30,6 @@ from specmult.spectra import (
     min_poly_2cos,
     multiplicity,
     multiplicity_numeric,
-    multiplicity_via_minpoly,
     poly_divmod,
     poly_mul,
     poly_primitive_int,
@@ -141,13 +140,155 @@ def test_scale_minpoly():
     assert scale_minpoly(IntPolynomial((-1, 2)), -3, Fraction(2, 3)).coeffs == (5, 6)
 
 
-def test_multiplicity_via_minpoly_handles_non_monic():
-    # p = (2x - 1)^2 (x + 1) = 4x^3 - 3x + 1, mu = 2x - 1
-    p = IntPolynomial((1, -3, 0, 4))
-    mu = IntPolynomial((-1, 2))
-    assert multiplicity_via_minpoly(p, mu) == 2
+def test_gcd_rounds_count_a_root_of_a_reducible_non_monic_part():
+    # q = (2x - 1)^2 (x + 1) = 4x^3 - 3x + 1, and the squarefree part
+    # f = (2x - 1)(x + 1) = 2x^2 + x - 1 names each root by its interval
+    q = (1, -3, 0, 4)
+    f = IntPolynomial((-1, 1, 2))
+    half, minus_one = (AlgebraicEigenvalue.real_root(f, x) for x in (0.4, -0.9))
+    assert spectra_mod._gcd_rounds(q, *spectra_mod._root_of(half)) == 2
+    assert spectra_mod._gcd_rounds(q, *spectra_mod._root_of(minus_one)) == 1
+    # a rational takes the same rounds through its linear polynomial
+    assert spectra_mod._gcd_rounds(q, *spectra_mod._root_of(Fraction(1, 2))) == 2
+    assert spectra_mod._gcd_rounds(q, *spectra_mod._root_of(Fraction(1))) == 0
     with pytest.raises(ParameterOutOfRange):
-        multiplicity_via_minpoly(p, IntPolynomial((5,)))
+        AlgebraicEigenvalue(IntPolynomial((5,)), 0.0)
+
+
+# (x^2 - 2)(985x - 1393): 1393/985 lies 3.6e-7 below sqrt(2)
+TIGHT_PART = (2786, -1970, -1393, 985)
+
+
+def _holds_root(cell, root) -> bool:
+    """Does the cell (approx, lo, hi) hold the root, given as a Fraction or
+    as 'sqrt2' / '-sqrt2'? Decided exactly."""
+    _, lo, hi = cell
+    if isinstance(root, Fraction):
+        return lo < root < hi
+    sign = -1 if root.startswith("-") else 1
+    lo, hi = (lo, hi) if sign > 0 else (-hi, -lo)
+    return hi > 0 and (lo < 0 or lo * lo < 2) and hi * hi > 2
+
+
+TIGHT_ROOTS = ("-sqrt2", Fraction(1393, 985), "sqrt2")
+
+
+def test_isolation_separates_roots_3_6e_7_apart():
+    cells = spectra_mod._isolate(TIGHT_PART, 3)
+    assert [_holds_root(c, r) for c in cells for r in TIGHT_ROOTS] == [
+        True, False, False, False, True, False, False, False, True,
+    ]
+    # the cells partition (-B, B), and f changes sign across each
+    assert all(a[2] == b[1] for a, b in zip(cells, cells[1:]))
+    for _, lo, hi in cells:
+        ends = (spectra_mod._sign_at(TIGHT_PART, *x.as_integer_ratio()) for x in (lo, hi))
+        assert math.prod(ends) < 0
+    # an eigenvalue named by the part and a cell is equal to the same
+    # number named by its minimal polynomial, and to no other
+    lams = [AlgebraicEigenvalue(IntPolynomial(TIGHT_PART), a, (lo, hi)) for a, lo, hi in cells]
+    sqrt2 = AlgebraicEigenvalue(IntPolynomial((-2, 0, 1)), 1.4142135)
+    assert [spectra_mod._same_root(lam, sqrt2) for lam in lams] == [False, False, True]
+    assert [spectra_mod._same_root(lam, Fraction(1393, 985)) for lam in lams] == [False, True, False]
+
+
+@pytest.mark.parametrize("patch", ["moved", "dropped", "complex"])
+def test_isolation_repairs_a_wrong_root_finder(monkeypatch, patch):
+    """A root finder that moves the rational root across sqrt(2), drops a
+    root, or returns none fails the sign certificate; the roots are then
+    isolated by Sturm bisection, never returned short or mis-assigned."""
+    real = spectra_mod._real_roots
+
+    def wrong(coeffs):
+        found = real(coeffs)
+        if patch == "moved":
+            return sorted(r + 1e-6 if abs(r - 1393 / 985) < 1e-8 else r for r in found)
+        return found[:-1] if patch == "dropped" else []
+
+    monkeypatch.setattr(spectra_mod, "_real_roots", wrong)
+    cells = spectra_mod._isolate(TIGHT_PART, 3)
+    assert len(cells) == 3
+    for cell, root in zip(cells, TIGHT_ROOTS):
+        assert [_holds_root(cell, r) for r in TIGHT_ROOTS] == [r is root for r in TIGHT_ROOTS]
+        approx, lo, hi = cell
+        assert lo < approx < hi
+    # np.roots is off by about 2e-9 on this part
+    assert cells[1][0] == pytest.approx(1393 / 985, abs=1e-8)
+    # a count that the polynomial does not have raises: x^3 - 2 has one
+    # real root, not three
+    with pytest.raises(AssertionError, match="has 1 real roots, expected 3"):
+        spectra_mod._isolate((-2, 0, 0, 1), 3)
+
+
+def test_algebraic_eigenvalue_is_validated_where_it_is_built():
+    k3 = adjacency_matrix(cycle_graph(3))  # eigenvalues 2 and -1 (double)
+    with pytest.raises(ParameterOutOfRange, match="not squarefree"):
+        AlgebraicEigenvalue(IntPolynomial((4, -4, 1)), 2.0)
+    with pytest.raises(ParameterOutOfRange, match="no real root"):
+        AlgebraicEigenvalue(IntPolynomial((1, 0, 1)), 0.0)
+    with pytest.raises(ParameterOutOfRange, match="midway"):
+        AlgebraicEigenvalue(IntPolynomial((-2, 0, 1)), 0.0)
+    with pytest.raises(ParameterOutOfRange, match="2 real roots"):
+        AlgebraicEigenvalue.real_root(IntPolynomial((-2, 0, 1)))
+    # a reducible squarefree polynomial names each of its roots
+    both = IntPolynomial((2, -3, 1))  # (x - 1)(x - 2)
+    assert multiplicity(k3, AlgebraicEigenvalue(both, 2.2)).multiplicity == 1
+    assert multiplicity(k3, AlgebraicEigenvalue(both, 0.7)).multiplicity == 0
+    minus_one = AlgebraicEigenvalue(IntPolynomial((-2, -1, 1)), -0.9)  # (x + 1)(x - 2)
+    assert multiplicity(k3, minus_one).multiplicity == 2
+    assert spectra_mod.deletion_multiplicities(k3, minus_one, [0]) == [1]
+    # x^3 - 2 has one real root and needs no locator
+    cube_root = AlgebraicEigenvalue.real_root(IntPolynomial((-2, 0, 0, 1)))
+    assert cube_root.approx == pytest.approx(2 ** (1 / 3))
+    # a given interval must isolate exactly one root, with no root at an end
+    for interval in [(0, 3), (Fraction(3, 2), 1), (1, 2), (-1, 0)]:
+        with pytest.raises(ParameterOutOfRange, match="does not isolate"):
+            AlgebraicEigenvalue(both, 1.0, interval)
+    assert AlgebraicEigenvalue(both, 1.0, (0, Fraction(3, 2))).interval == (0, Fraction(3, 2))
+
+
+def _factored_count(q: tuple, f: tuple, lo: Fraction, hi: Fraction) -> int:
+    """sympy's answer to _gcd_rounds: the number of times the irreducible
+    factor of f that changes sign on (lo, hi) divides q."""
+    x = sympy.Symbol("x")
+    factors = sympy.Poly(list(reversed(f)), x).factor_list()[1]
+    sign = lambda p, t: sympy.sign(p.eval(sympy.Rational(t.numerator, t.denominator)))
+    [mu] = [h for h, _ in factors if sign(h, lo) != sign(h, hi)]
+    rem, count = sympy.Poly(list(reversed(q)), x, domain="QQ"), 0
+    while True:
+        quo, r = rem.div(mu)
+        if not r.is_zero:
+            return count
+        rem, count = quo, count + 1
+
+
+def test_gcd_rounds_equal_the_factored_division_count_on_the_sweep(monkeypatch):
+    """The slice charpolys and the squarefree parts that the cap-6
+    connected sweep asks about, every charpoly against every root of every
+    part: gcd rounds against sympy's factor-and-divide."""
+    from specmult.oracle import CampaignConfig, run_campaign
+
+    asked = set()
+    real = spectra_mod._gcd_rounds
+
+    def recorded(q, f, lo, hi):
+        asked.add((q, f))
+        return real(q, f, lo, hi)
+
+    monkeypatch.setattr(spectra_mod, "_gcd_rounds", recorded)
+    summary, found = run_campaign(CampaignConfig("connected", cap=6))
+    assert summary["instances"] == 27475 and found == []
+    charpolys = sorted({q for q, _ in asked})
+    roots = sorted({(f, lo, hi) for _, f in asked for _, lo, hi in spectra_mod._isolate(f, len(f) - 1)})
+    reducible = sum(len(irreducible_factors(IntPolynomial(f))) > 1 for f in {f for f, _, _ in roots})
+    counts = [
+        real(q, f, lo.as_integer_ratio(), hi.as_integer_ratio()) for q in charpolys for f, lo, hi in roots
+    ]
+    assert counts == [_factored_count(q, *root) for q in charpolys for root in roots]
+    # 13 charpolys x 75 roots of 20 polynomials (parts, and the linear
+    # polynomials of rational lambdas), 11 of them reducible; 113 pairs
+    # share the root, 2 of them twice
+    assert len(counts) >= 900 and sum(c > 0 for c in counts) >= 100 and max(counts) == 2
+    assert reducible >= 10
 
 
 def test_scaled_char_poly_against_sympy():

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import random
@@ -46,6 +47,7 @@ from specmult.spectra import (
     IntPolynomial,
     min_poly_2cos,
     multiplicity,
+    poly_mul,
 )
 from specmult.structure import _structure
 from specmult.theorems import (
@@ -745,13 +747,37 @@ def test_gain_cycle_unit_gain():
 
 def test_gain_cycle_matches_the_nearest_conjugate():
     # 2cos(2pi/5) and 2cos(4pi/5) share the minimal polynomial x^2 + x - 1;
-    # lambda = 2cos(4pi/5) is closed form 2, in exact and in floating mode
+    # lambda = 2cos(4pi/5) is closed form 2, in exact mode by its isolating
+    # interval and in floating mode by its value
     c5 = cycle_graph(5)
     lam = AlgebraicEigenvalue.from_2cos(5, 2)
     assert lam.minpoly == IntPolynomial((-1, 1, 1))
     for b in (_a_alpha(c5, {}, Fraction(0)), a_alpha_gain(gain_graph(c5, {}), 0.0)):
         rep = lemma_relation_checks(c5, b, lam, RelationProbe("gain-cycle"))
         assert rep.holds and rep.lhs == 2 and rep.instance["matched_index"] == 2
+
+
+@pytest.mark.parametrize("n", [5, 10])
+@pytest.mark.parametrize("flip", [False, True])
+def test_gain_cycle_matches_conjugates_by_interval(n, flip):
+    """Conjugate closed forms share a minimal polynomial but not an
+    isolating interval: each doubled eigenvalue matches its own j, in exact
+    and floating mode, also when it is named by a reducible squarefree
+    polynomial (the product of all the forms' minimal polynomials)."""
+    c = cycle_graph(n)
+    gains = {(0, 1): -1} if flip else {}
+    forms = theorems_mod._gain_closed_forms(n, Fraction(0), flip)
+    product = (1,)
+    for chi in {chi.coeffs for _, chi, _, _ in forms}:
+        product = poly_mul(product, chi)
+    matrices = (_a_alpha(c, gains, Fraction(0)), a_alpha_gain(gain_graph(c, gains), 0.0))
+    for j, chi, exact, val in forms:
+        named = [exact, AlgebraicEigenvalue(IntPolynomial(product), val)]
+        for lam, b in itertools.product(named, matrices):
+            rep = lemma_relation_checks(c, b, lam, RelationProbe("gain-cycle"))
+            assert rep.holds and rep.lhs == 2 and rep.instance["matched_index"] == j, (j, lam)
+    conjugates = [chi.coeffs for _, chi, _, _ in forms]
+    assert len(set(conjugates)) < len(conjugates)
 
 
 def test_gain_cycle_flipped_edge():
