@@ -6,9 +6,10 @@ its pattern graph: off-diagonal entry (i, j) is nonzero exactly when
 {i, j} is an edge, and the diagonal is unconstrained (real).
 
 Matrix file format: first line "n", then n rows of n whitespace-separated
-entries. An exact entry looks like "3/4" or "1/2+2/3 i"; a floating entry
-like "0.25" or "1.5-2.0 i". The imaginary unit is a separate "i" token
-glued to the preceding coefficient during parsing.
+entries. An exact entry looks like "3/4", "1/2+2/3i" or "1/2+2/3 i"; a
+floating entry like "0.25" or "1.5-2.0 i". A lone "i" token is glued to
+the entry before it on its row. README "Matrix files" lists every literal
+form.
 """
 
 from __future__ import annotations
@@ -211,6 +212,8 @@ class HermitianMatrix:
         Integers and Fractions coerce to exact scalars; floats and complex
         to approx. Mixed input upgrades everything to approx unless
         scalar="exact" is forced (decimal strings convert exactly).
+        One sweep over the pairs i < j both checks B and reads its support,
+        exact entries on their cleared tables, which the matrix keeps.
         """
         n = len(rows)
         if any(len(r) != n for r in rows):
@@ -225,20 +228,11 @@ class HermitianMatrix:
         if scalar not in ("exact", "approx"):
             raise ParameterOutOfRange("scalar must be 'exact' or 'approx'")
         if scalar == "exact":
-            conv = []
-            for r in rows:
-                cr = []
-                for x in r:
-                    if isinstance(x, ExactComplex):
-                        cr.append(x)
-                    elif isinstance(x, complex):
-                        raise ParameterOutOfRange(
-                            "complex floats cannot be coerced to exact entries"
-                        )
-                    else:
-                        cr.append(ExactComplex(_frac(x), 0))
-                conv.append(tuple(cr))
-            ents = tuple(conv)
+            ents = tuple(
+                tuple(x if isinstance(x, ExactComplex) else _exact_entry(x) for x in r) for r in rows
+            )
+            cleared = _clear_denominators(ents)
+            support = _exact_support(cleared[1], cleared[2])
         else:
             ents = tuple(
                 tuple(complex(x.to_complex() if isinstance(x, ExactComplex) else x) for x in r)
@@ -248,25 +242,60 @@ class HermitianMatrix:
                 for j in range(n):
                     if not _is_finite_complex(ents[i][j]):
                         raise ParameterOutOfRange(f"entry ({i},{j}) is not finite")
-        # the Hermitian check, exact or approx, is validate_pattern's, below
-        if pattern is None:
-            edges = [
-                (i, j)
-                for i in range(n)
-                for j in range(i + 1, n)
-                if _entry_nonzero(ents[i][j])
-            ]
-            pattern = Graph(n, edges)
-        mat = cls(n, ents, pattern, scalar)
-        if not validate_pattern(mat, pattern):
+            support = _approx_support(ents)
+        if pattern is not None and pattern.n != n:
+            raise DimensionMismatch(f"matrix order {n} vs graph order {pattern.n}")
+        if support is None or (pattern is not None and support != list(pattern.edges)):
             raise PatternMismatch("matrix is not Hermitian with its support on the graph's edges")
+        mat = cls(n, ents, Graph(n, support) if pattern is None else pattern, scalar)
+        if scalar == "exact":
+            # the support sweep read these tables; keep them for the exact
+            # questions to come, as the cached_property would have
+            mat.__dict__["cleared"] = cleared
         return mat
 
 
-def _entry_nonzero(x: Scalar) -> bool:
-    if isinstance(x, ExactComplex):
-        return not x.is_zero()
-    return x != 0
+def _exact_entry(x) -> ExactComplex:
+    if isinstance(x, complex):
+        raise ParameterOutOfRange("complex floats cannot be coerced to exact entries")
+    return ExactComplex(_frac(x), 0)
+
+
+def _exact_support(re: IntTable, im: IntTable) -> list[tuple[int, int]] | None:
+    """The off-diagonal support {(i, j): i < j} of an exact matrix B, read
+    off the cleared Gaussian integer tables of d*B (HermitianMatrix.cleared),
+    which every exact question about B reads anyway; None unless B is
+    Hermitian with a real diagonal. d > 0, so d*B has B's support, and it is
+    Hermitian with a real diagonal exactly when B is; the pairs are compared
+    as ints, without building a conjugate."""
+    support = []
+    for i, (row_re, row_im) in enumerate(zip(re, im)):
+        if row_im[i]:
+            return None
+        for j in range(i + 1, len(re)):
+            xr, xi = row_re[j], row_im[j]
+            if xr != re[j][i] or xi != -im[j][i]:
+                return None
+            if xr or xi:
+                support.append((i, j))
+    return support
+
+
+def _approx_support(ents: Sequence[Sequence[complex]]) -> list[tuple[int, int]] | None:
+    """_exact_support for floating entries: Hermitian and real on the
+    diagonal to within _APPROX_HERMITIAN_TOL, support read off the upper
+    triangle."""
+    support = []
+    for i, row in enumerate(ents):
+        if abs(row[i].imag) > _APPROX_HERMITIAN_TOL:
+            return None
+        for j in range(i + 1, len(ents)):
+            x = row[j]
+            if abs(x - ents[j][i].conjugate()) > _APPROX_HERMITIAN_TOL:
+                return None
+            if x != 0:
+                support.append((i, j))
+    return support
 
 
 def validate_pattern(b: HermitianMatrix, g: Graph) -> bool:
@@ -274,41 +303,8 @@ def validate_pattern(b: HermitianMatrix, g: Graph) -> bool:
     support is exactly the edge set of g."""
     if b.n != g.n:
         raise DimensionMismatch(f"matrix order {b.n} vs graph order {g.n}")
-    if b.is_exact:
-        return _exact_in_pattern(b, g)
-    for i in range(b.n):
-        if abs(b.entries[i][i].imag) > _APPROX_HERMITIAN_TOL:
-            return False
-        for j in range(i + 1, b.n):
-            x, y = b.entries[i][j], b.entries[j][i]
-            if abs(x - y.conjugate()) > _APPROX_HERMITIAN_TOL:
-                return False
-            if _entry_nonzero(x) != g.has_edge(i, j):
-                return False
-    return True
-
-
-def _exact_in_pattern(b: HermitianMatrix, g: Graph) -> bool:
-    """validate_pattern on exact entries, read off the cleared Gaussian
-    integer tables of d*B (HermitianMatrix.cleared), which every exact
-    question about B reads anyway. d > 0, so d*B has B's support, and it is
-    Hermitian with a real diagonal exactly when B is; the pairs are compared
-    as ints, without building a conjugate."""
-    _, re, im = b.cleared
-    edges = g.edge_set
-    support = 0
-    for i, (row_re, row_im) in enumerate(zip(re, im)):
-        if row_im[i]:
-            return False
-        for j in range(i + 1, len(re)):
-            xr, xi = row_re[j], row_im[j]
-            if xr != re[j][i] or xi != -im[j][i]:
-                return False
-            if xr or xi:
-                if (i, j) not in edges:
-                    return False
-                support += 1
-    return support == len(edges)
+    support = _exact_support(*b.cleared[1:]) if b.is_exact else _approx_support(b.entries)
+    return support == list(g.edges)
 
 
 def adjacency_matrix(g: Graph, scalar: str = "exact") -> HermitianMatrix:
@@ -518,10 +514,13 @@ def _split_real_imag(tok: str, line_no: int) -> tuple[str, str | None]:
     has_i = tok.endswith("i")
     if has_i:
         tok = tok[:-1]
-    split_at = -1
-    for k in range(1, len(tok)):
-        if tok[k] in "+-" and tok[k - 1] not in "eE":
-            split_at = k  # keep the last such sign: exponents are guarded above
+    # split at the last sign after the first character, skipping an exponent's sign
+    split_at, end = -1, len(tok)
+    while (k := max(tok.rfind("+", 1, end), tok.rfind("-", 1, end))) > 0:
+        if tok[k - 1] not in "eE":
+            split_at = k
+            break
+        end = k
     if has_i:
         if split_at < 0:
             return "0", tok or "1"
@@ -532,15 +531,53 @@ def _split_real_imag(tok: str, line_no: int) -> tuple[str, str | None]:
 
 
 def _parse_part(text: str, line_no: int):
-    """One real coefficient: Fraction for p/q or integers, float for decimals."""
+    """One real coefficient: Fraction for p/q or integers, float for decimals.
+
+    p and q are read by int(), which takes what Fraction(str) takes for
+    them (a sign on p only, underscores between digits, any Unicode decimal
+    digit), and the pair is reduced as Fraction(p, q)."""
     if text in ("+", "-"):
         text += "1"
     try:
         if "." in text or "e" in text or "E" in text:
             return float(text)
-        return Fraction(text)
+        num, slash, den = text.partition("/")
+        if not slash:
+            return Fraction(int(num))
+        if den.startswith(("+", "-")):
+            raise ValueError(text)
+        return Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError):
         raise ParseError(line_no, f"bad numeric literal {text!r}") from None
+
+
+_F0 = Fraction(0)
+
+
+def _parse_token(tok: str, line_no: int) -> tuple:
+    """(re, im) of one entry token, its imaginary "i" already glued on."""
+    re_s, im_s = _split_real_imag(tok, line_no)
+    return _parse_part(re_s, line_no), _parse_part(im_s, line_no) if im_s is not None else _F0
+
+
+def _exact_decimals(parsed: dict[str, tuple], rows: list[list[str]]) -> dict[str, tuple]:
+    """parsed with every decimal read as the exact value of its float's
+    shortest repr ("0.1" is 1/10); a decimal that overflowed the float is
+    refused at the first entry, row by row, that holds it."""
+    overflowed = {
+        tok
+        for tok, pair in parsed.items()
+        if any(isinstance(x, float) and not math.isfinite(x) for x in pair)
+    }
+    if overflowed:
+        i, j = next(
+            (i, j) for i, row in enumerate(rows) for j, tok in enumerate(row) if tok in overflowed
+        )
+        raise ParameterOutOfRange(f"entry ({i},{j}) is not finite")
+    return {
+        tok: tuple(Fraction(repr(x)) if isinstance(x, float) else x for x in pair)
+        for tok, pair in parsed.items()
+    }
 
 
 def parse_matrix(text: str, scalar: str | None = None) -> HermitianMatrix:
@@ -548,11 +585,15 @@ def parse_matrix(text: str, scalar: str | None = None) -> HermitianMatrix:
 
     scalar="exact" converts decimal literals to exact rationals;
     scalar="approx" lowers everything to floating complex.
+
+    One pass: each distinct token is parsed once, at its first occurrence
+    (so a bad token is reported on the first line it appears on), and every
+    occurrence shares one entry object.
     """
     lines = [
-        (no, ln.strip())
-        for no, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.strip().startswith("#")
+        (no, ln)
+        for no, raw in enumerate(text.splitlines(), start=1)
+        if (ln := raw.strip()) and not ln.startswith("#")
     ]
     if not lines:
         raise ParseError(0, "empty matrix file")
@@ -565,36 +606,33 @@ def parse_matrix(text: str, scalar: str | None = None) -> HermitianMatrix:
         raise ParseError(head_no, "matrix order must be nonnegative")
     if len(lines) - 1 != n:
         raise ParseError(head_no, f"expected {n} rows, found {len(lines) - 1}")
+    parsed: dict[str, tuple] = {}  # token -> (re, im)
     rows = []
-    saw_float = False
     for no, ln in lines[1:]:
-        raw = ln.split()
-        merged: list[str] = []
-        for tok in raw:
-            if tok == "i" and merged:
-                merged[-1] += "i"
-            else:
-                merged.append(tok)
-        if len(merged) != n:
-            raise ParseError(no, f"expected {n} entries, found {len(merged)}")
-        row = []
-        for tok in merged:
-            re_s, im_s = _split_real_imag(tok, no)
-            re_v = _parse_part(re_s, no)
-            im_v = _parse_part(im_s, no) if im_s is not None else Fraction(0)
-            if isinstance(re_v, float) or isinstance(im_v, float):
-                saw_float = True
-            row.append((re_v, im_v))
+        row = ln.split()
+        if "i" in row:  # a lone "i" attaches to the entry before it
+            merged: list[str] = []
+            for tok in row:
+                if tok == "i" and merged:
+                    merged[-1] += "i"
+                else:
+                    merged.append(tok)
+            row = merged
+        if len(row) != n:
+            raise ParseError(no, f"expected {n} entries, found {len(row)}")
+        for tok in dict.fromkeys(row):
+            if tok not in parsed:
+                parsed[tok] = _parse_token(tok, no)
         rows.append(row)
+    saw_float = any(isinstance(x, float) for pair in parsed.values() for x in pair)
     if scalar is None:
         scalar = "approx" if saw_float else "exact"
     if scalar == "exact":
-        ents = [
-            [ExactComplex(Fraction(str(re)) if isinstance(re, float) else re,
-                          Fraction(str(im)) if isinstance(im, float) else im)
-             for re, im in row]
-            for row in rows
-        ]
+        if saw_float:
+            parsed = _exact_decimals(parsed, rows)
+        entry = {tok: ExactComplex(re, im) for tok, (re, im) in parsed.items()}
     else:
-        ents = [[complex(float(re), float(im)) for re, im in row] for row in rows]
-    return HermitianMatrix.from_rows(ents, scalar=scalar)
+        entry = {tok: complex(float(re), float(im)) for tok, (re, im) in parsed.items()}
+    return HermitianMatrix.from_rows(
+        [tuple(map(entry.__getitem__, row)) for row in rows], scalar=scalar
+    )

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,8 +8,17 @@ import pytest
 
 import specmult.cli as cli_mod
 from specmult.cli import main
-from specmult.graphs import cycle_graph, serialize_graph, tadpole_graph
-from specmult.hermitian import a_alpha_gain, adjacency_matrix, gain_graph, serialize_matrix
+from specmult.graphs import Graph, cycle_graph, serialize_graph, tadpole_graph
+from specmult.hermitian import (
+    HermitianMatrix,
+    a_alpha_gain,
+    adjacency_matrix,
+    gain_graph,
+    random_in_S,
+    serialize_matrix,
+)
+from specmult.spectra import multiplicity
+from specmult.theorems import RelationProbe, conclusion_classifier, lemma_relation_checks
 
 
 @pytest.fixture()
@@ -125,6 +135,39 @@ def test_classify_matrix_file(capsys, tmp_path):
     ]
     code, out, _ = _run(capsys, argv)
     assert code == 0 and json.loads(out)["verdict"] == "OneDeficientFormB"
+
+
+def test_weighted_matrix_file_replies_as_the_library(capsys, tmp_path):
+    """A weighted 16-vertex instance read from files: mult, classify and
+    check print exactly the library's JSON reply for the same matrix. Two
+    pendants twinned at one hub with equal diagonal entries d make d an
+    eigenvalue."""
+    rng = random.Random(1801)
+    n = 16
+    edges = [(v, rng.randrange(v)) for v in range(1, n - 2)] + [(0, 5), (3, 11), (n - 2, 4), (n - 1, 4)]
+    g = Graph(n, edges)
+    rows = [list(row) for row in random_in_S(g, seed=rng.randrange(1 << 30)).entries]
+    rows[n - 1][n - 1] = rows[n - 2][n - 2]
+    b = HermitianMatrix.from_rows(rows, pattern=g)
+    eig = rows[n - 2][n - 2].re
+    gpath, mpath = tmp_path / "g.graph", tmp_path / "b.mat"
+    gpath.write_text(serialize_graph(g))
+    mpath.write_text(serialize_matrix(b))
+    files = ["--graph", str(gpath), "--matrix", str(mpath)]
+    vertex = 4
+    probe = RelationProbe("interlace-v", vertex=vertex)
+    cases = [
+        (["mult"], Fraction(0), lambda lam: multiplicity(b, lam)),
+        (["mult"], eig, lambda lam: multiplicity(b, lam)),
+        (["classify"], eig, lambda lam: conclusion_classifier(g, b, lam)),
+        (["check", "--relation", "interlace-v", "--vertex", str(vertex)], eig,
+         lambda lam: lemma_relation_checks(g, b, lam, probe)),
+    ]
+    for head, lam, library in cases:
+        code, out, err = _run(capsys, head + files + [f"--lambda={lam}", "--json"])
+        assert (code, err) == (0, "")
+        assert out == cli_mod._dump(library(lam).as_json()) + "\n"
+    assert multiplicity(b, eig).multiplicity >= 1
 
 
 def test_matrix_pattern_mismatch(capsys, tmp_path, c5_file):

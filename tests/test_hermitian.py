@@ -11,6 +11,7 @@ from specmult.errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NotACycle,
+    ParameterOutOfRange,
     ParseError,
     PatternMismatch,
 )
@@ -292,3 +293,128 @@ def test_parse_matrix_scalar_override():
     exact = parse_matrix(text, scalar="exact")
     assert exact.is_exact
     assert exact.entries[0][1].re == Fraction(1, 2)
+
+
+def _ec(re, im=0) -> ExactComplex:
+    return ExactComplex(Fraction(re), Fraction(im))
+
+
+# What the matrix file format accepts: (id, text, scalar, kind, rows), where
+# rows holds the entries row by row (ExactComplex when kind is "exact").
+_PARSE_ACCEPTS = [
+    ("zero", "1\n0\n", None, "exact", [[_ec(0)]]),
+    ("rational", "1\n-5/2\n", None, "exact", [[_ec("-5/2")]]),
+    ("complex", "2\n0 1+2i\n1-2i 0\n", None, "exact",
+     [[_ec(0), _ec(1, 2)], [_ec(1, -2), _ec(0)]]),
+    ("spaced-i", "2\n0 1+2 i\n1-2 i 0\n", None, "exact",
+     [[_ec(0), _ec(1, 2)], [_ec(1, -2), _ec(0)]]),
+    ("minus-i-and-lone-first-i", "2\n0 -i\ni 0\n", None, "exact",
+     [[_ec(0), _ec(0, -1)], [_ec(0, 1), _ec(0)]]),
+    ("lone-sign", "1\n-\n", None, "exact", [[_ec(-1)]]),
+    ("decimal", "1\n1e-3\n", None, "approx", [[0.001]]),
+    ("decimal-forced-exact", "1\n1e-3\n", "exact", "exact", [[_ec("1/1000")]]),
+    ("upper-exponent", "1\n1E2\n", None, "approx", [[100.0]]),
+    ("exponent-in-imaginary", "2\n0 1+2E-1i\n1-2E-1i 0\n", None, "approx",
+     [[0j, 1 + 0.2j], [1 - 0.2j, 0j]]),
+    ("exponent-in-imaginary-exact", "2\n0 1+2E-1i\n1-2E-1i 0\n", "exact", "exact",
+     [[_ec(0), _ec(1, "1/5")], [_ec(1, "-1/5"), _ec(0)]]),
+    ("tenth-forced-exact", "1\n0.1\n", "exact", "exact", [[_ec("1/10")]]),
+    ("rational-forced-approx", "1\n1/4\n", "approx", "approx", [[0.25]]),
+    ("underscore", "1\n1_000\n", None, "exact", [[_ec(1000)]]),
+    ("non-ascii-digit", "1\n٣\n", None, "exact", [[_ec(3)]]),
+    ("comments-and-blanks", "# m\n\n2\n  # row 0 next\n0 1\n\n1 0\n", None, "exact",
+     [[_ec(0), _ec(1)], [_ec(1), _ec(0)]]),
+]
+
+
+@pytest.mark.parametrize(
+    "text, scalar, kind, rows", [c[1:] for c in _PARSE_ACCEPTS], ids=[c[0] for c in _PARSE_ACCEPTS]
+)
+def test_parse_matrix_accepts(text, scalar, kind, rows):
+    b = parse_matrix(text, scalar=scalar)
+    assert b.scalar == kind
+    want = [tuple(x if kind == "exact" else complex(x) for x in row) for row in rows]
+    assert [tuple(row) for row in b.entries] == want
+    assert all(type(x) is (ExactComplex if kind == "exact" else complex) for row in b.entries for x in row)
+    n = len(rows)
+    assert b.pattern == Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j]])
+
+
+# What it rejects: (id, text, scalar, error class, message, line of a ParseError)
+_PARSE_REJECTS = [
+    ("empty", "", None, ParseError, "line 0: empty matrix file", 0),
+    ("only-comments", "# c\n\n", None, ParseError, "line 0: empty matrix file", 0),
+    ("bad-order", "x\n", None, ParseError, "line 1: first line must be the matrix order", 1),
+    ("negative-order", "-1\n", None, ParseError, "line 1: matrix order must be nonnegative", 1),
+    ("missing-row", "2\n0 1\n", None, ParseError, "line 1: expected 2 rows, found 1", 1),
+    ("short-row", "2\n0\n1 0\n", None, ParseError, "line 2: expected 2 entries, found 1", 2),
+    ("long-row", "1\n0 0\n", None, ParseError, "line 2: expected 1 entries, found 2", 2),
+    ("nan", "1\nnan\n", None, ParseError, "line 2: bad numeric literal 'nan'", 2),
+    ("inf", "1\ninf\n", None, ParseError, "line 2: bad numeric literal 'inf'", 2),
+    ("two-slashes", "1\n1/2/3\n", None, ParseError, "line 2: bad numeric literal '1/2/3'", 2),
+    ("double-sign", "1\n+-1\n", None, ParseError, "line 2: real entry '+-1' has an embedded sign", 2),
+    ("signed-denominator", "1\n1/-2\n", None, ParseError,
+     "line 2: real entry '1/-2' has an embedded sign", 2),
+    ("zero-denominator", "1\n1/0\n", None, ParseError, "line 2: bad numeric literal '1/0'", 2),
+    ("zero-denominator-forced-exact", "1\n1/0\n", "exact", ParseError,
+     "line 2: bad numeric literal '1/0'", 2),
+    ("glued-second-i", "1\n1i i\n", None, ParseError, "line 2: bad numeric literal '1i'", 2),
+    ("repeated-bad-token", "3\n0 0 0\n0 0 1/x\n# c\n1/x 0 0\n", None, ParseError,
+     "line 3: bad numeric literal '1/x'", 3),
+    ("overflow", "2\n0 1e400\n1e400 0\n", None, ParameterOutOfRange, "entry (0,1) is not finite", None),
+    ("not-hermitian", "2\n0 1\n2 0\n", None, PatternMismatch,
+     "matrix is not Hermitian with its support on the graph's edges", None),
+    ("imaginary-diagonal", "1\ni\n", None, PatternMismatch,
+     "matrix is not Hermitian with its support on the graph's edges", None),
+]
+
+
+@pytest.mark.parametrize(
+    "text, scalar, error, message, line", [c[1:] for c in _PARSE_REJECTS], ids=[c[0] for c in _PARSE_REJECTS]
+)
+def test_parse_matrix_rejects(text, scalar, error, message, line):
+    with pytest.raises(error) as info:
+        parse_matrix(text, scalar=scalar)
+    assert type(info.value) is error and str(info.value) == message
+    if line is not None:
+        assert info.value.line == line
+
+
+def _random_pattern(rng: random.Random, n: int) -> Graph:
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4])
+
+
+def test_parse_matrix_round_trips_serialize_matrix():
+    rng = random.Random(18)
+    for n in range(1, 17):
+        b = random_in_S(_random_pattern(rng, n), seed=rng.randrange(1 << 30))
+        back = parse_matrix(serialize_matrix(b))
+        assert back.scalar == "exact" and back.entries == b.entries and back.pattern == b.pattern
+    texts = []
+    for n in (1, 2, 5, 9):
+        g = _random_pattern(rng, n)
+        rows = [[complex(rng.choice((1e-05, -2.5, 1e20)), 0) for _ in range(n)] for _ in range(n)]
+        for u, v in g.edges:
+            w = complex(rng.choice((1e-05, -1e20, 0.1)), rng.choice((0.0, 3e-07, -1e20)))
+            rows[u][v], rows[v][u] = w, w.conjugate()
+        for i in range(n):
+            for j in range(n):
+                if i != j and not g.has_edge(i, j):
+                    rows[i][j] = 0j
+        b = HermitianMatrix.from_rows(rows)
+        texts.append(serialize_matrix(b))
+        back = parse_matrix(texts[-1])
+        assert back.scalar == "approx" and back.entries == b.entries and back.pattern == g
+    assert all(form in "".join(texts) for form in ("1e-05", "1e+20", "-1e+20 i", "3e-07 i"))
+
+
+def test_parse_matrix_names_an_overflowed_entry_in_either_scalar():
+    """A decimal that overflows a float is refused as not finite whether
+    the matrix is floating or forced exact, at the first such entry."""
+    for scalar in (None, "exact", "approx"):
+        with pytest.raises(ParameterOutOfRange) as info:
+            parse_matrix("1\n1e400\n", scalar=scalar)
+        assert str(info.value) == "entry (0,0) is not finite"
+        with pytest.raises(ParameterOutOfRange) as info:
+            parse_matrix("2\n0 1-1e400 i\n1+1e400i 0\n", scalar=scalar)
+        assert str(info.value) == "entry (0,1) is not finite"
