@@ -308,19 +308,24 @@ def validate_pattern(b: HermitianMatrix, g: Graph) -> bool:
 
 
 def adjacency_matrix(g: Graph, scalar: str = "exact") -> HermitianMatrix:
-    """0/1 symmetric matrix of the graph with zero diagonal."""
+    """0/1 symmetric matrix of the graph with zero diagonal. Its entries come
+    from one 0/1 int table filled from the edge list, and an exact matrix
+    keeps that table as its cleared tables (1, table, zeros)."""
     if scalar == "exact":
-        one: Scalar = EC_ONE
-        zero: Scalar = EC_ZERO
+        pick: tuple[Scalar, Scalar] = (EC_ZERO, EC_ONE)
     elif scalar == "approx":
-        one, zero = complex(1), complex(0)
+        pick = (complex(0), complex(1))
     else:
         raise ParameterOutOfRange("scalar must be 'exact' or 'approx'")
-    rows = [
-        tuple(one if g.has_edge(i, j) else zero for j in range(g.n))
-        for i in range(g.n)
-    ]
-    return HermitianMatrix(g.n, tuple(rows), g, scalar)
+    n = g.n
+    table = [[0] * n for _ in range(n)]
+    for u, v in g.edges:
+        table[u][v] = table[v][u] = 1
+    rows = tuple(map(tuple, table))
+    mat = HermitianMatrix(n, tuple(tuple(map(pick.__getitem__, row)) for row in rows), g, scalar)
+    if scalar == "exact":
+        mat.__dict__["cleared"] = (1, rows, ((0,) * n,) * n)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -580,6 +585,15 @@ def _exact_decimals(parsed: dict[str, tuple], rows: list[list[str]]) -> dict[str
     }
 
 
+def _float_part(x) -> float:
+    """float(x); a rational too large for a float reads as infinite, so that
+    from_rows refuses its first entry as not finite, as it does "1e400"."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def parse_matrix(text: str, scalar: str | None = None) -> HermitianMatrix:
     """Parse the matrix file format; detects exact vs floating entries.
 
@@ -632,7 +646,7 @@ def parse_matrix(text: str, scalar: str | None = None) -> HermitianMatrix:
             parsed = _exact_decimals(parsed, rows)
         entry = {tok: ExactComplex(re, im) for tok, (re, im) in parsed.items()}
     else:
-        entry = {tok: complex(float(re), float(im)) for tok, (re, im) in parsed.items()}
+        entry = {tok: complex(_float_part(re), _float_part(im)) for tok, (re, im) in parsed.items()}
     return HermitianMatrix.from_rows(
         [tuple(map(entry.__getitem__, row)) for row in rows], scalar=scalar
     )

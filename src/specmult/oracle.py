@@ -16,7 +16,12 @@ one-deficient (plus every graph where some multiplicity actually hits the
 target). For the decomposition form that gate is the classifier's own
 lambda-independent half, structure._structure(g).form_d, which the
 classifier then reuses; it is asked only when 3*theta + 1 <= n, since
-fewer vertices cannot hold theta disjoint cycle pieces and a major.
+fewer vertices cannot hold theta disjoint cycle pieces and a major, and
+only when some major lies on no cycle. That necessary condition is tested
+per chunk in numpy beside theta and p (_has_offcycle_major): an edge of a
+connected graph is a bridge exactly when the mask without it is not a
+connected mask, one searchsorted per edge slot, so a graph without such a
+major builds no Graph unless a multiplicity hits bound - 1.
 
 Profiles, squarefree splits and the exact roots of a squarefree part are
 pure functions of the exact integer coefficient tuple, and the n <= 7 sweep
@@ -375,6 +380,25 @@ def _connected_masks(n: int) -> np.ndarray:
     out = masks[reach == (1 << n) - 1]
     _MASK_CACHE[n] = out
     return out
+
+
+def _has_offcycle_major(sub: np.ndarray, degs: np.ndarray, n: int) -> np.ndarray:
+    """Per connected mask in sub (degs its rows' degrees): is some vertex of
+    degree >= 3 on no cycle? An edge of a connected graph is a bridge exactly
+    when the mask without it is missing from the sorted _connected_masks(n),
+    and a vertex is on a cycle exactly when one of its edges is no bridge."""
+    masks = _connected_masks(n)
+    on_cycle = np.zeros(degs.shape, dtype=bool)
+    for idx, (u, v) in enumerate(_edge_slots(n)):
+        bit = 1 << idx
+        rows = np.flatnonzero(sub & bit)
+        rest = sub[rows] ^ bit
+        # rest < its row's own mask, which is in masks, so pos is in range
+        pos = np.searchsorted(masks, rest)
+        keeps = rows[masks[pos] == rest]
+        on_cycle[keeps, u] = True
+        on_cycle[keeps, v] = True
+    return ((degs >= 3) & ~on_cycle).any(axis=1)
 
 
 def _mask_edges(mask: int, slots) -> tuple[tuple[int, int], ...]:
@@ -1381,10 +1405,21 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
             coeffs = _batched_charpoly(a_batch)
             degs = a_batch.sum(axis=2)
             pend = (degs == 1).sum(axis=1)
-            ecount = degs.sum(axis=1) // 2
+            theta = degs.sum(axis=1) // 2 - n + 1
+            # trees and one-cycle graphs with p <= 1 are always classified;
+            # form D needs theta disjoint cycle pieces of >= 3 vertices each
+            # plus an off-cycle major, so 3*theta + 1 <= n and M nonempty
+            classify_all = (theta == 0) | ((theta == 1) & (pend <= 1))
+            maybe_d = ~classify_all & (3 * theta + 1 <= n)
+            if only_mask is None:
+                # a replay of one graph asks the gate without building the
+                # order's mask list for the bridge test
+                maybe_d[maybe_d] = _has_offcycle_major(sub[maybe_d], degs[maybe_d], n)
             coeffs_list = coeffs.tolist()
             pend_list = pend.tolist()
-            theta_list = (ecount - n + 1).tolist()
+            theta_list = theta.tolist()
+            classify_all_list = classify_all.tolist()
+            maybe_d_list = maybe_d.tolist()
             sub_list = sub.tolist()
             for row in range(cnt):
                 mask = sub_list[row]
@@ -1410,14 +1445,12 @@ def _campaign_connected(cfg: CampaignConfig, rec: _Recorder) -> None:
                 else:
                     rec.check("upper-bound-exhaustive", True, key, {}, "", "")
                 hit = (bound - 1) in profile
-                need_all = theta == 0 or (theta == 1 and p <= 1)
+                need_all = classify_all_list[row]
                 g_obj = None
                 if not need_all and theta == 2 and p == 0:
                     g_obj = Graph(n, _mask_edges(mask, slots))
                     need_all = _structure(g_obj).family.kind in ("ThetaGraph", "InfinityGraph")
-                # form D needs theta disjoint cycle pieces of >= 3 vertices
-                # each plus an off-cycle major, so 3*theta + 1 <= n
-                if not need_all and 3 * theta + 1 <= n:
+                if not need_all and maybe_d_list[row]:
                     g_obj = g_obj or Graph(n, _mask_edges(mask, slots))
                     need_all = _form_d_gate(g_obj)
                 if not (need_all or hit):

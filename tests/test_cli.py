@@ -186,6 +186,17 @@ def test_matrix_order_mismatch(capsys, tmp_path, c5_file):
     assert code == 1 and json.loads(err)["error"] == "DimensionMismatch"
 
 
+def test_matrix_with_an_integer_too_large_for_a_float(capsys, tmp_path):
+    gpath = tmp_path / "k2.graph"
+    gpath.write_text(serialize_graph(Graph(2, [(0, 1)])))
+    mpath = tmp_path / "big.matrix"
+    mpath.write_text(f"2\n{'1' * 401} 0.5\n0.5 1\n")
+    argv = ["mult", "--graph", str(gpath), "--matrix", str(mpath), "--lambda", "0"]
+    code, out, err = _run(capsys, argv)
+    assert code != 0 and out == "" and "Traceback" not in err
+    assert json.loads(err) == {"error": "ParameterOutOfRange", "message": "entry (0,0) is not finite"}
+
+
 def test_check_relation(capsys, c5_file):
     argv = [
         "check", "--relation", "interlace-v", "--graph", c5_file,

@@ -17,6 +17,8 @@ from specmult.errors import (
 )
 from specmult.graphs import Graph, cycle_graph, path_graph, star_graph
 from specmult.hermitian import (
+    EC_ONE,
+    EC_ZERO,
     ExactComplex,
     HermitianMatrix,
     a_alpha_gain,
@@ -27,6 +29,7 @@ from specmult.hermitian import (
     principal_submatrix,
     random_in_S,
     serialize_matrix,
+    _clear_denominators,
     validate_pattern,
 )
 
@@ -189,6 +192,29 @@ def test_adjacency_matrix_exact_and_numeric():
     approx = adjacency_matrix(g, scalar="approx")
     assert not approx.is_exact
     assert np.allclose(approx.to_numpy(), arr)
+
+
+def test_adjacency_matrix_carries_its_cleared_tables():
+    """Every graph on at most 5 vertices, disconnected and edgeless ones
+    included: the entries are the 0/1 pattern, the tables kept at
+    construction are the ones clearing would give, and the floating matrix
+    has the same pattern."""
+    for n in range(6):
+        slots = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for mask in range(1 << len(slots)):
+            g = Graph(n, [e for k, e in enumerate(slots) if mask >> k & 1])
+            a = adjacency_matrix(g)
+            assert a.entries == tuple(
+                tuple(EC_ONE if g.has_edge(i, j) else EC_ZERO for j in range(n)) for i in range(n)
+            )
+            assert a.cleared == _clear_denominators(a.entries)
+            assert validate_pattern(a, g)
+            approx = adjacency_matrix(g, scalar="approx")
+            assert approx.entries == tuple(
+                tuple(complex(g.has_edge(i, j)) for j in range(n)) for i in range(n)
+            )
+            assert approx.scalar == "approx" and approx.pattern == g
+            assert validate_pattern(approx, g)
 
 
 def test_random_in_s_properties():
@@ -418,3 +444,22 @@ def test_parse_matrix_names_an_overflowed_entry_in_either_scalar():
         with pytest.raises(ParameterOutOfRange) as info:
             parse_matrix("2\n0 1-1e400 i\n1+1e400i 0\n", scalar=scalar)
         assert str(info.value) == "entry (0,1) is not finite"
+
+
+def test_parse_matrix_refuses_an_integer_too_large_for_a_float():
+    """A floating matrix holding an integer or p/q literal beyond the float
+    range is refused at its first such entry, as an overflowed decimal is;
+    forced exact, the same text is a matrix."""
+    big = "1" * 401
+    cases = (
+        (f"2\n{big} 0.5\n0.5 1\n", None, "entry (0,0) is not finite"),
+        (f"2\n1 {big}/3\n{big}/3 1\n", "approx", "entry (0,1) is not finite"),
+        (f"2\n0 -{big}i\n{big}i 0.5\n", None, "entry (0,1) is not finite"),
+        (f"2\n-{big} 1e400\n1e400 0.5\n", None, "entry (0,0) is not finite"),
+    )
+    for text, scalar, message in cases:
+        with pytest.raises(ParameterOutOfRange) as info:
+            parse_matrix(text, scalar=scalar)
+        assert str(info.value) == message
+    exact = parse_matrix(f"2\n{big} 0.5\n0.5 1\n", scalar="exact")
+    assert exact.entries[0][0] == ExactComplex(int(big))

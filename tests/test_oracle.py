@@ -53,7 +53,7 @@ from specmult.spectra import (
     scaled_char_poly,
     squarefree_parts,
 )
-from specmult.structure import classify_family, is_tree
+from specmult.structure import _structure, classify_family, is_tree
 from specmult.theorems import RelationProbe, _form_d_conditions, lemma_relation_checks
 
 LABELED_CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
@@ -269,9 +269,10 @@ def test_form_d_gate_on_larger_samples():
     assert hits > 0  # the sweep must exercise the accepting branch
 
 
-def _dropped_rows(n: int, masks):
-    """The rows with 3*theta + 1 > n that the sweep would otherwise gate:
-    trees and graphs with one cycle and p <= 1 are classified anyway."""
+def _split_rows(n: int, masks):
+    """(rows with 3*theta + 1 > n, rows with 3*theta + 1 <= n) among those
+    the sweep would otherwise gate: trees and graphs with one cycle and
+    p <= 1 are classified anyway."""
     slots = oracle_mod._edge_slots(n)
     degs = np.zeros((masks.size, n), dtype=np.int64)
     for idx, (u, v) in enumerate(slots):
@@ -281,41 +282,86 @@ def _dropped_rows(n: int, masks):
     theta = degs.sum(axis=1) // 2 - n + 1
     p = (degs == 1).sum(axis=1)
     gated = ~((theta == 0) | ((theta == 1) & (p <= 1)))
-    return masks[gated & (3 * theta + 1 > n)], slots
+    small = 3 * theta + 1 > n
+    return masks[gated & small], masks[gated & ~small], slots
+
+
+def _offcycle_flags(n: int, masks):
+    """The sweep's per-chunk off-cycle-major flag for each mask."""
+    slots = oracle_mod._edge_slots(n)
+    degs = np.zeros((masks.size, n), dtype=np.int64)
+    for idx, (u, v) in enumerate(slots):
+        bit = (masks >> idx) & 1
+        degs[:, u] += bit
+        degs[:, v] += bit
+    return oracle_mod._has_offcycle_major(masks, degs, n).tolist(), slots
+
+
+def test_offcycle_major_flag_matches_the_structure():
+    """The bridge test by mask lookup finds an off-cycle major exactly where
+    the block decomposition does: every connected graph for n <= 6, and a
+    seeded 1 in 20 at n = 7."""
+    rng = random.Random(20)
+    flagged = 0
+    for n in range(2, 8):
+        masks = oracle_mod._connected_masks(n)
+        if n == 7:
+            masks = masks[[rng.randrange(20) == 0 for _ in range(masks.size)]]
+            assert masks.size > 90000
+        flags, slots = _offcycle_flags(n, masks)
+        for mask, flag in zip(masks.tolist(), flags):
+            g = Graph(n, oracle_mod._mask_edges(mask, slots))
+            assert flag == bool(_structure(g).majors.M)
+        flagged += sum(flags)
+    assert flagged > 0
 
 
 def test_sweep_skip_rule_drops_no_row_the_gate_passes():
-    dropped = 0
-    for n in range(2, 7):
-        masks, slots = _dropped_rows(n, oracle_mod._connected_masks(n))
-        for mask in masks.tolist():
-            assert _form_d_gate(Graph(n, oracle_mod._mask_edges(mask, slots))) is False
-        dropped += masks.size
-    # 21,055 of them are not theta = 2, p = 0 rows, which see the family test first
-    assert dropped == 22136
-    masks, slots = _dropped_rows(7, oracle_mod._connected_masks(7))
+    """Neither 3*theta + 1 > n nor a missing off-cycle major drops a row
+    the gate passes: every row for n <= 6, a seeded sample at n = 7."""
     rng = random.Random(7)
-    sample = [m for m in masks.tolist() if rng.randrange(50) == 0]
-    assert len(sample) > 30000
-    for mask in sample:
-        assert _form_d_gate(Graph(7, oracle_mod._mask_edges(mask, slots))) is False
+    too_small = no_major = 0
+    for n in range(2, 8):
+        small, gated, slots = _split_rows(n, oracle_mod._connected_masks(n))
+        if n == 7:
+            small = small[[rng.randrange(50) == 0 for _ in range(small.size)]]
+            gated = gated[[rng.randrange(20) == 0 for _ in range(gated.size)]]
+            assert small.size > 30000
+        flags, _ = _offcycle_flags(n, gated)
+        dropped = small.tolist() + [m for m, flag in zip(gated.tolist(), flags) if not flag]
+        for mask in dropped:
+            assert _form_d_gate(Graph(n, oracle_mod._mask_edges(mask, slots))) is False
+        if n < 7:
+            too_small += small.size
+            no_major += len(dropped) - small.size
+    # 21,055 of them are not theta = 2, p = 0 rows, which see the family test first
+    assert too_small == 22136
+    assert no_major == 2430
 
 
 def test_connected_sweep_gates_only_where_form_d_can_hold(monkeypatch):
     calls = {"_form_d_gate": 0, "_classify": 0}
+    passed = []
     for name in calls:
         real = getattr(oracle_mod, name)
 
         def counted(*args, real=real, name=name):
             calls[name] += 1
-            return real(*args)
+            out = real(*args)
+            if name == "_form_d_gate":
+                passed.append(out)
+            return out
 
         monkeypatch.setattr(oracle_mod, name, counted)
     summary, _ = _run("connected", cap=6)
     assert summary["checks"] == 71301
-    # 23,665 gate calls before the 3*theta + 1 <= n rule; the classifier
-    # still runs once per (labeled graph, lambda) it ran on before
-    assert calls == {"_form_d_gate": 2610, "_classify": 21913}
+    # 23,665 gate calls before the 3*theta + 1 <= n rule and 2,610 before
+    # the off-cycle-major prefilter; the classifier still runs once per
+    # (labeled graph, lambda) it ran on before
+    assert calls == {"_form_d_gate": 180, "_classify": 21913}
+    # every row the prefilter kept passes the gate, so it dropped only
+    # rows the gate would have rejected
+    assert all(passed)
 
 
 # ---------------------------------------------------------------------------
