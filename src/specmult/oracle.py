@@ -31,11 +31,12 @@ per part _part_eigenvalues). The sweep proves the bound from the Z[x]
 profile and classifies each eigenvalue at the multiplicity of its part in
 the same Z[x] split. It names each root by its part and a certified
 isolating interval (spectra._isolate), an integer root as a Fraction, and
-spectra counts it in a slice charpoly by gcd rounds, so the sweep neither
-factors nor imports sympy. certified_spectrum still reads sympy's split and
-factors a part when a cluster's lam is read, or when the root finder loses
-one of its roots. Classifier verdicts are never reused: every labeled graph
-is still classified on its own.
+spectra counts it in a slice charpoly by gcd rounds, so the sweep never
+factors. certified_spectrum reads the same memoised Z[x] split, and names a
+cluster's root the same way when its lam is read; a root lost by the root
+finder is recovered by Sturm isolation. Nothing in the package imports
+sympy. Classifier verdicts are never reused: every labeled graph is still
+classified on its own.
 
 run_campaign alone resolves a campaign's cap: None means the campaign's
 default, any other value is used as given, and a value above the campaign's
@@ -101,14 +102,12 @@ from .spectra import (
     _int_primitive,
     _isolate,
     _real_roots,
+    _same_root,
     _sign_at,
     describe_eigenvalue,
-    eigenvalue_float,
     eigenvalues_numeric,
-    irreducible_factors,
     multiplicity,
     scaled_char_poly,
-    squarefree_parts,
 )
 from .structure import (
     _structure,
@@ -448,10 +447,10 @@ def enumerate_theta_infinity(max_param: int = CAP_THETA_INFTY_PARAM) -> Iterator
 # ---------------------------------------------------------------------------
 # Integer-only squarefree split
 #
-# Independent of sympy (the tests check the parts against sympy's
-# squarefree decomposition): Yun's algorithm over primitive pseudo-remainder
-# gcds keeps the whole decomposition in Z[x], which is what makes the
-# exhaustive n <= 7 sweep affordable.
+# Yun's algorithm over primitive pseudo-remainder gcds keeps the whole
+# decomposition in Z[x]. It is the one squarefree split, of the connected
+# sweep and of certified_spectrum alike; the tests check its parts against
+# sympy's squarefree decomposition.
 
 
 def int_squarefree_parts(coeffs) -> list[tuple[IntPolynomial, int]]:
@@ -459,8 +458,7 @@ def int_squarefree_parts(coeffs) -> list[tuple[IntPolynomial, int]]:
     squarefree parts f_k with positive leading coefficient, each with its
     k, such that the polynomial is c * prod f_k^k (D. Y. Y. Yun, "On
     square-free decomposition algorithms", SYMSAC 1976), sorted by (degree,
-    coefficients) as spectra.squarefree_parts orders sympy's; constants
-    dropped. Runs entirely in Z[x].
+    coefficients); constants dropped. Runs entirely in Z[x].
     """
     f = _int_primitive(list(coeffs))
     deg_f = len(f) - 1
@@ -577,9 +575,11 @@ class CertifiedCluster:
     Gaussian integer entries); every root of part has this multiplicity.
     approx locates the unscaled eigenvalue on the real line, exactly where
     it is an integer over scale. lam, the exact descriptor of
-    scale*eigenvalue (valid against scale*B), is worked out on first read by
-    factoring part alone. Clusters are equal when their multiplicities,
-    scales and exact eigenvalues are.
+    scale*eigenvalue (valid against scale*B), is built on first read and
+    memoised per part (_part_eigenvalues): part with a certified isolating
+    interval, or a Fraction for an integer root. Each read asserts that the
+    float root the cluster was placed by lies in that interval. Clusters are
+    equal when their multiplicities, scales and exact eigenvalues are.
     """
 
     multiplicity: int
@@ -590,7 +590,12 @@ class CertifiedCluster:
 
     @property
     def lam(self):
-        return _root_descriptors(self.part.coeffs)[self.index]
+        lam = _part_eigenvalues(self.part.coeffs)[self.index]
+        root = _part_roots(self.part.coeffs)[self.index]
+        held = root == lam if isinstance(lam, Fraction) else lam.interval[0] < root < lam.interval[1]
+        if not held:
+            raise AssertionError(f"root {self.index} of {self.part} lies outside its isolating interval")
+        return lam
 
     def __eq__(self, other):
         if not isinstance(other, CertifiedCluster):
@@ -599,42 +604,10 @@ class CertifiedCluster:
             return False
         if self.part == other.part:  # distinct roots of one squarefree part
             return self.index == other.index
-        return self.lam == other.lam
+        return _same_root(self.lam, other.lam)
 
     def __hash__(self):
         return hash((self.multiplicity, self.scale))
-
-
-@lru_cache(maxsize=4096)
-def _factored_roots(coeffs: tuple) -> tuple:
-    """Exact descriptors of every root of the squarefree part with these
-    coefficients, ascending, from its irreducible factors; a linear part is
-    answered without factoring. Memoised, so a part is factored at most
-    once, whether its roots or its descriptors asked first.
-
-    All such roots are real, so a factor of degree k that yields fewer than
-    k real roots means the root finder lost one: that raises rather than
-    returning a short spectrum. Each root carries its factor's certified
-    isolating interval (spectra._isolate), so it is not checked again as a
-    public AlgebraicEigenvalue would be.
-    """
-    f = IntPolynomial(coeffs)
-    factors = [(f, 1)] if f.degree == 1 else irreducible_factors(f)
-    roots: list = []
-    for factor, _ in factors:
-        if factor.degree == 1:
-            roots.append(Fraction(-factor.coeffs[0], factor.coeffs[1]))
-            continue
-        found = _real_roots(factor.coeffs)
-        if len(found) != factor.degree:
-            raise AssertionError(
-                f"factor {factor} of degree {factor.degree} yielded {len(found)} real roots"
-            )
-        roots.extend(
-            AlgebraicEigenvalue(factor, approx, (lo, hi))
-            for approx, lo, hi in _isolate(factor.coeffs, factor.degree)
-        )
-    return tuple(sorted(roots, key=eigenvalue_float))
 
 
 @lru_cache(maxsize=4096)
@@ -647,8 +620,8 @@ def _part_roots(coeffs: tuple) -> tuple:
     All such roots are real. A rounded root k at which f vanishes exactly is
     the integer root k; a squarefree f has it once, so only the float
     nearest k takes it. When the root finder loses a root of f, the roots
-    come from f's irreducible factors, which raise if one of them loses a
-    root too, so the answer is never short.
+    come from the Sturm isolation of _part_eigenvalues, which raises if f
+    does not have deg f real roots, so the answer is never short.
     """
     f = IntPolynomial(coeffs)
     if f.degree == 1:
@@ -656,7 +629,7 @@ def _part_roots(coeffs: tuple) -> tuple:
     roots: list = _real_roots(f.coeffs)
     if len(roots) != f.degree:
         return tuple(
-            lam if isinstance(lam, Fraction) else lam.approx for lam in _factored_roots(coeffs)
+            lam if isinstance(lam, Fraction) else lam.approx for lam in _part_eigenvalues(coeffs)
         )
     integer_at: dict[int, int] = {}
     for i, r in enumerate(roots):
@@ -669,31 +642,6 @@ def _part_roots(coeffs: tuple) -> tuple:
     for k, i in integer_at.items():
         roots[i] = Fraction(k)
     return tuple(sorted(roots))
-
-
-@lru_cache(maxsize=4096)
-def _root_descriptors(coeffs: tuple) -> tuple:
-    """Exact descriptors of the roots of the squarefree part with these
-    coefficients, paired with the roots _part_roots holds, so that the
-    descriptor at index i describes root i; memoised, so the pairing is
-    checked once."""
-    descriptors = _factored_roots(coeffs)
-    roots = [float(r) for r in _part_roots(coeffs)]
-    for i, lam in enumerate(descriptors):
-        x = eigenvalue_float(lam)
-        if min(range(len(roots)), key=lambda j: abs(roots[j] - x)) != i:
-            raise AssertionError(f"root {i} of {IntPolynomial(coeffs)} lies nearer another root")
-    return descriptors
-
-
-@lru_cache(maxsize=4096)
-def _spectral_parts(coeffs: tuple) -> tuple:
-    """(part, multiplicity, roots) for each squarefree part of the integer
-    polynomial with these coefficients, in squarefree_parts' order, with the
-    roots of _part_roots; memoised, so the result is immutable."""
-    return tuple(
-        (f, mult, _part_roots(f.coeffs)) for f, mult in squarefree_parts(IntPolynomial(coeffs))
-    )
 
 
 @lru_cache(maxsize=4096)
@@ -722,17 +670,18 @@ def _part_eigenvalues(coeffs: tuple) -> tuple:
 def certified_spectrum(b: HermitianMatrix) -> list[CertifiedCluster]:
     """Every distinct eigenvalue with its exact multiplicity, ascending.
 
-    The multiplicities come from the squarefree split of the characteristic
-    polynomial, and nothing is factored until a cluster's lam is read.
-    Raises AssertionError rather than return a short spectrum, when a part
-    loses a root both to the root finder and through its factors, or when
-    the multiplicities do not sum to the matrix order.
+    The multiplicities come from the Z[x] squarefree split of the
+    characteristic polynomial (_cached_parts), and no exact descriptor is
+    built until a cluster's lam is read. Raises AssertionError rather than
+    return a short spectrum, when a part does not have as many real roots
+    as its degree, or when the multiplicities do not sum to the matrix
+    order.
     """
     p, d = scaled_char_poly(b)
     out = [
         CertifiedCluster(mult, d, float(r) / d, f, i)
-        for f, mult, roots in _spectral_parts(p.coeffs)
-        for i, r in enumerate(roots)
+        for f, mult in _cached_parts(p.coeffs)
+        for i, r in enumerate(_part_roots(f.coeffs))
     ]
     if sum(c.multiplicity for c in out) != b.n:
         raise AssertionError("certified multiplicities do not sum to the matrix order")

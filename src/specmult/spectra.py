@@ -412,46 +412,6 @@ class IntPolynomial:
         return out
 
 
-def irreducible_factors(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Irreducible integer factors with multiplicities (constants dropped)."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sympy.Poly(list(reversed([Fraction(c) for c in p.coeffs])), x, domain="QQ")
-    _, factors = expr.factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = [Fraction(c) for c in reversed(fac.all_coeffs())]
-        if len(_trim(cs)) <= 1:
-            continue
-        out.append((IntPolynomial(poly_primitive_int(cs)), int(mult)))
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return out
-
-
-def squarefree_parts(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Squarefree split of p: pairwise coprime squarefree primitive parts
-    f_k with p = c * prod f_k^k, each with its k (D. Y. Y. Yun, "On
-    square-free decomposition algorithms", SYMSAC 1976), in
-    irreducible_factors' order (constants dropped).
-
-    Each root of f_k is a root of p of multiplicity exactly k, so the split
-    gives every multiplicity without factoring.
-    """
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sympy.Poly(list(reversed(p.coeffs)), x, domain="ZZ")
-    _, parts = expr.sqf_list()
-    out = [
-        (IntPolynomial(poly_primitive_int([int(c) for c in reversed(f.all_coeffs())])), int(k))
-        for f, k in parts
-        if f.degree() >= 1
-    ]
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Cyclotomic polynomials and minimal polynomials of 2cos(2k*pi/n)
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import networkx as nx
@@ -47,11 +48,10 @@ from specmult.spectra import (
     AlgebraicEigenvalue,
     IntPolynomial,
     _real_roots,
-    describe_eigenvalue,
+    _same_root,
     eigenvalue_float,
-    irreducible_factors,
+    poly_primitive_int,
     scaled_char_poly,
-    squarefree_parts,
 )
 from specmult.structure import _structure, classify_family, is_tree
 from specmult.theorems import RelationProbe, _form_d_conditions, lemma_relation_checks
@@ -59,6 +59,22 @@ from specmult.theorems import RelationProbe, _form_d_conditions, lemma_relation_
 LABELED_CONNECTED = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26704}
 DEDUPED_TREES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
 DEDUPED_UNICYCLIC = {3: 1, 4: 2, 5: 5, 6: 13, 7: 33, 8: 89, 9: 240}
+
+X = sympy.Symbol("x")
+
+
+def _sympy_pieces(coeffs, split: str) -> list[tuple[IntPolynomial, int]]:
+    """The pieces of sympy's split ("factor_list" or "sqf_list") of the
+    integer polynomial with these coefficients, with their multiplicities:
+    each primitive with a positive leading coefficient, in (degree,
+    coefficients) order, constants dropped. The independent reference."""
+    _, pieces = getattr(sympy.Poly([int(c) for c in reversed(coeffs)], X), split)()
+    out = [
+        (IntPolynomial(poly_primitive_int([int(c) for c in reversed(f.all_coeffs())])), int(m))
+        for f, m in pieces
+        if f.degree() >= 1
+    ]
+    return sorted(out, key=lambda fm: (fm[0].degree, fm[0].coeffs))
 
 
 def _nx(g: Graph) -> nx.Graph:
@@ -171,27 +187,20 @@ def test_int_multiplicity_profile_known():
 
 def test_int_multiplicity_profile_matches_fraction_route():
     """Z[x]-only squarefree profile agrees with sympy's squarefree decomposition."""
-    x = sympy.Symbol("x")
     rng = random.Random(11)
     for _ in range(60):
         roots = []
         for _ in range(rng.randint(1, 4)):
             roots.extend([rng.randint(-4, 4)] * rng.randint(1, 3))
-        coeffs = np.poly1d(roots, True).coeffs.astype(np.int64)[::-1]
-        prof = int_multiplicity_profile(tuple(int(c) for c in coeffs))
+        coeffs = tuple(int(c) for c in np.poly1d(roots, True).coeffs.astype(np.int64)[::-1])
+        parts = _sympy_pieces(coeffs, "sqf_list")
         ref: dict[int, int] = {}
-        _, factors = sympy.Poly([int(c) for c in reversed(coeffs)], x).sqf_list()
-        for f, m in factors:
-            ref[m] = ref.get(m, 0) + f.degree()
-        assert prof == ref
+        for f, m in parts:
+            ref[m] = ref.get(m, 0) + f.degree
+        assert int_multiplicity_profile(coeffs) == ref
         # and the parts themselves, each primitive with a positive leading
         # coefficient, in (degree, coefficients) order
-        parts = sorted(
-            (tuple(int(c) for c in reversed(f.all_coeffs())), m) for f, m in factors if f.degree() >= 1
-        )
-        parts = [(IntPolynomial(f if f[-1] > 0 else [-c for c in f]), m) for f, m in parts]
-        parts.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-        assert int_squarefree_parts(tuple(int(c) for c in coeffs)) == parts
+        assert int_squarefree_parts(coeffs) == parts
 
 
 def test_int_multiplicity_profile_on_random_patterns():
@@ -414,14 +423,15 @@ def test_certified_spectrum_totals_random():
         assert all(a.approx < b2.approx for a, b2 in zip(clusters, clusters[1:]))
 
 
-def _drop_last_root(monkeypatch):
-    real = oracle_mod._real_roots
-    monkeypatch.setattr(oracle_mod, "_real_roots", lambda coeffs: real(coeffs)[:-1])
-
-
 def test_certified_spectrum_raises_on_a_lost_root(monkeypatch):
-    _drop_last_root(monkeypatch)
-    with pytest.raises(AssertionError, match="degree 2 yielded 1 real roots"):
+    """A part that truly lacks real roots (x^2 + 1, slipped into the split
+    of C_5's charpoly) fails the Sturm count of its isolation rather than
+    yield a short spectrum."""
+    real = oracle_mod.int_squarefree_parts
+    monkeypatch.setattr(
+        oracle_mod, "int_squarefree_parts", lambda c: [(IntPolynomial((1, 0, 1)), 1), *real(c)]
+    )
+    with pytest.raises(AssertionError, match=r"x\^2 \+ 1 has 0 real roots, expected 2"):
         certified_spectrum(adjacency_matrix(cycle_graph(5)))
 
 
@@ -447,8 +457,8 @@ def test_connected_sweep_repairs_a_lost_root(monkeypatch):
 
 
 def test_certified_spectrum_raises_when_multiplicities_fall_short(monkeypatch):
-    real = oracle_mod.squarefree_parts
-    monkeypatch.setattr(oracle_mod, "squarefree_parts", lambda p: real(p)[1:])
+    real = oracle_mod.int_squarefree_parts
+    monkeypatch.setattr(oracle_mod, "int_squarefree_parts", lambda c: real(c)[1:])
     with pytest.raises(AssertionError, match="sum to the matrix order"):
         certified_spectrum(adjacency_matrix(cycle_graph(6)))
 
@@ -460,22 +470,24 @@ def test_certified_spectrum_memo_hands_out_fresh_lists():
     first.pop()
     first.reverse()
     second = certified_spectrum(b)
-    oracle_mod._spectral_parts.cache_clear()
+    oracle_mod._cached_parts.cache_clear()
+    oracle_mod._part_roots.cache_clear()
     assert second == certified_spectrum(b) == expected
     coeffs = scaled_char_poly(b)[0].coeffs
-    memo = oracle_mod._spectral_parts(coeffs)
-    assert isinstance(memo, tuple) and all(isinstance(roots, tuple) for _, _, roots in memo)
+    memo = oracle_mod._cached_parts(coeffs)
+    assert isinstance(memo, tuple)
+    assert all(isinstance(oracle_mod._part_roots(f.coeffs), tuple) for f, _ in memo)
     with pytest.raises(TypeError):
         oracle_mod._cached_profile(coeffs)[1] = 6
 
 
 def _factored_spectrum(b) -> list:
     """(multiplicity, scale, lam, approx) of each distinct eigenvalue of b,
-    ascending, from the irreducible factors of its characteristic
+    ascending, from sympy's irreducible factors of its characteristic
     polynomial: the route that factors everything up front."""
     p, d = scaled_char_poly(b)
     out = []
-    for f, mult in irreducible_factors(p):
+    for f, mult in _sympy_pieces(p.coeffs, "factor_list"):
         if f.degree == 1:
             lams = [Fraction(-f.coeffs[0], f.coeffs[1])]
         else:
@@ -496,103 +508,103 @@ def test_certified_spectrum_matches_the_factored_route():
         assert len(got) == len(want), (n, g.edges)
         for c, (mult, d, lam, approx) in zip(got, want):
             assert (c.multiplicity, c.scale) == (mult, d)
-            assert describe_eigenvalue(c.lam) == describe_eigenvalue(lam)
+            assert _same_root(c.lam, lam)
             if isinstance(lam, Fraction):
-                assert c.approx == approx
+                assert c.lam == lam and c.approx == approx
             else:
                 assert c.approx == pytest.approx(approx, rel=1e-9)
         clusters += len(got)
     assert clusters > 2000
 
 
-def test_certified_spectrum_factors_nothing_until_lam_is_read(monkeypatch):
-    def refuse(p):
-        raise RuntimeError("factored")
+def test_certified_spectrum_builds_no_descriptor_until_lam_is_read(monkeypatch):
+    def refuse(*args):
+        raise RuntimeError("described")
 
-    monkeypatch.setattr(oracle_mod, "irreducible_factors", refuse)
+    monkeypatch.setattr(oracle_mod, "AlgebraicEigenvalue", refuse)
     b = random_in_S(theta_graph(2, 3, 3), seed=5)
     clusters = certified_spectrum(b)
     assert sum(c.multiplicity for c in clusters) == b.n
     ev = np.linalg.eigvalsh(b.to_numpy())
     approx = [c.approx for c in clusters for _ in range(c.multiplicity)]
     assert approx == pytest.approx(list(ev), rel=1e-9, abs=1e-12)
-    with pytest.raises(RuntimeError, match="factored"):
+    with pytest.raises(RuntimeError, match="described"):
         clusters[0].lam
 
 
-def _count_factor_calls(monkeypatch) -> list:
-    """Record the coefficients of every polynomial that oracle factors."""
-    factored = []
-    real = oracle_mod.irreducible_factors
-
-    def counted(p):
-        factored.append(p.coeffs)
-        return real(p)
-
-    monkeypatch.setattr(oracle_mod, "irreducible_factors", counted)
-    return factored
-
-
-def test_reading_one_lam_factors_only_its_part(monkeypatch):
-    factored = _count_factor_calls(monkeypatch)
+def test_reading_one_lam_describes_only_its_part(monkeypatch):
+    """Reading lam isolates that cluster's part alone, once, and names each
+    root by the part and its interval, with no sympy to import."""
+    monkeypatch.setitem(sys.modules, "sympy", None)  # any import of it fails
+    described = oracle_mod._part_eigenvalues.cache_info
     # C_10's charpoly splits into x^2 - 4 (simple) and x^4 - 3x^2 + 1 (double)
+    part = IntPolynomial((1, 0, -3, 0, 1))
     clusters = certified_spectrum(adjacency_matrix(cycle_graph(10)))
     assert [c.multiplicity for c in clusters] == [1, 2, 2, 2, 2, 1]
-    assert factored == []
-    assert clusters[1].lam.minpoly == IntPolynomial((-1, 1, 1))
-    assert factored == [(1, 0, -3, 0, 1)]
-    assert [c.lam.minpoly.coeffs for c in clusters[2:5]] == [(-1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
-    assert len(factored) == 1
+    assert described().currsize == 0
+    assert clusters[1].lam.minpoly == part
+    assert described().currsize == 1
+    lams = [c.lam for c in clusters[1:5]]
+    assert {lam.minpoly for lam in lams} == {part} and described().currsize == 1
+    assert all(a.interval[1] <= b.interval[0] for a, b in zip(lams, lams[1:]))
+    golden = AlgebraicEigenvalue.real_root(IntPolynomial((-1, -1, 1)), 1.6)
+    assert [_same_root(lam, golden) for lam in lams] == [False, False, False, True]
     assert clusters[0].lam == Fraction(-2)
-    assert factored == [(1, 0, -3, 0, 1), (-4, 0, 1)]
+    assert described().currsize == 2
 
 
-def test_certified_spectrum_takes_lost_roots_from_the_factors(monkeypatch):
-    # C_10's doubled part x^4 - 3x^2 + 1 splits into x^2 + x - 1 and
-    # x^2 - x - 1; the root finder loses a root of the part but not of either
-    # factor, so the answer must come from the factors, unchanged
+def test_certified_spectrum_repairs_a_lost_root_by_one_sturm_isolation(monkeypatch):
+    """A root finder that loses a root of C_10's doubled part x^4 - 3x^2 + 1
+    fails the part's sign certificate; Sturm bisection isolates it once, for
+    the roots and the descriptors alike, and the spectrum does not change."""
     b = adjacency_matrix(cycle_graph(10))
+    want = certified_spectrum(b)
+    want_lams = [c.lam for c in want]
+    for memo in (oracle_mod._cached_parts, oracle_mod._part_roots, oracle_mod._part_eigenvalues):
+        memo.cache_clear()
+    spectra_mod._isolate.cache_clear()
     part = (1, 0, -3, 0, 1)
-    real = oracle_mod._real_roots
-    monkeypatch.setattr(
-        oracle_mod, "_real_roots", lambda c: real(c)[:-1] if tuple(c) == part else real(c)
-    )
-    factored = _count_factor_calls(monkeypatch)
-    clusters = certified_spectrum(b)
-    assert factored == [part]
-    got = [(c.multiplicity, c.scale, c.lam, c.approx) for c in clusters]
-    assert got == _factored_spectrum(b)
+    real = spectra_mod._real_roots
 
+    def short(c):
+        return real(c)[:-1] if tuple(c) == part else real(c)
 
-def test_a_part_that_loses_a_root_is_factored_once(monkeypatch):
-    """The lost-root fallback and the exact descriptors share one factoring
-    of the part, however many lam are read."""
-    part = (1, 0, -3, 0, 1)
-    real = oracle_mod._real_roots
-    monkeypatch.setattr(
-        oracle_mod, "_real_roots", lambda c: real(c)[:-1] if tuple(c) == part else real(c)
-    )
-    factored = _count_factor_calls(monkeypatch)
-    clusters = certified_spectrum(adjacency_matrix(cycle_graph(10)))
-    lams = [c.lam for c in clusters]
-    assert [lam.minpoly.coeffs for lam in lams[1:5]] == [(-1, 1, 1), (-1, -1, 1), (-1, 1, 1), (-1, -1, 1)]
-    assert factored.count(part) == 1
+    monkeypatch.setattr(oracle_mod, "_real_roots", short)
+    monkeypatch.setattr(spectra_mod, "_real_roots", short)
+    bisected = []
+    real_bisection = spectra_mod._isolate_by_bisection
+
+    def counted(coeffs, *args):
+        bisected.append(coeffs)
+        return real_bisection(coeffs, *args)
+
+    monkeypatch.setattr(spectra_mod, "_isolate_by_bisection", counted)
+    got = certified_spectrum(b)
+    assert got == want and bisected == [part]
+    assert [c.approx for c in got] == pytest.approx([c.approx for c in want], rel=1e-15)
+    lams = [c.lam for c in got]
+    assert all(_same_root(a, w) for a, w in zip(lams, want_lams))
+    assert bisected == [part]
 
 
 def test_root_descriptors_pair_tightly_clustered_roots_or_raise(monkeypatch):
+    """Each lam read checks that the float root its cluster was placed by
+    lies in the descriptor's isolating interval."""
     # (x^2 - 2)(985x - 1393): 1393/985 lies 3.6e-7 below sqrt(2)
     part = IntPolynomial((2786, -1970, -1393, 985))
     sqrt2 = IntPolynomial((-2, 0, 1))
-    lams = oracle_mod._root_descriptors(part.coeffs)
-    assert lams[1] == Fraction(1393, 985)
-    assert [lam.minpoly for lam in (lams[0], lams[2])] == [sqrt2, sqrt2]
-    assert lams[0].approx < 0 < lams[2].approx
-    # np.roots is off by about 2e-9 here, well inside the 3.6e-7 gap
     roots = oracle_mod._part_roots(part.coeffs)
-    assert roots == pytest.approx([eigenvalue_float(lam) for lam in lams], abs=1e-8)
+    clusters = [oracle_mod.CertifiedCluster(1, 1, float(r), part, i) for i, r in enumerate(roots)]
+    lams = [c.lam for c in clusters]
+    assert [lam.minpoly for lam in lams] == [part] * 3
+    assert _same_root(lams[1], Fraction(1393, 985))
+    assert _same_root(lams[0], AlgebraicEigenvalue.real_root(sqrt2, -1.4))
+    assert _same_root(lams[2], AlgebraicEigenvalue.real_root(sqrt2, 1.4))
+    # np.roots is off by about 2e-9 here, well inside the 3.6e-7 gap
+    assert roots == pytest.approx([lam.approx for lam in lams], abs=1e-8)
     # a root finder that moves the rational root 1e-6 up puts it above
-    # sqrt(2): the descriptors no longer fall nearest their own roots
-    oracle_mod._root_descriptors.cache_clear()
+    # sqrt(2): the cluster at index 1 now holds sqrt(2)'s float, which lies
+    # outside the interval of the descriptor at index 1
     oracle_mod._part_roots.cache_clear()
     real = oracle_mod._real_roots
 
@@ -603,8 +615,23 @@ def test_root_descriptors_pair_tightly_clustered_roots_or_raise(monkeypatch):
         return sorted(r + 1e-6 if abs(r - 1393 / 985) < 1e-8 else r for r in found)
 
     monkeypatch.setattr(oracle_mod, "_real_roots", shifted)
-    with pytest.raises(AssertionError, match="lies nearer another root"):
-        oracle_mod._root_descriptors(part.coeffs)
+    assert clusters[0].lam == lams[0]
+    with pytest.raises(AssertionError, match="root 1 of .* lies outside its isolating interval"):
+        clusters[1].lam
+
+
+def test_certified_clusters_of_one_eigenvalue_in_different_parts_are_equal():
+    """2cos(2pi/5), doubled, is a root of the part x^2 + x - 1 of C_5's
+    charpoly and of the part x^4 - 3x^2 + 1 of C_10's: the clusters are
+    equal. The doubled -2cos(2pi/5) of C_10 is not."""
+    c5 = certified_spectrum(adjacency_matrix(cycle_graph(5)))
+    c10 = certified_spectrum(adjacency_matrix(cycle_graph(10)))
+    near = lambda clusters, x: next(c for c in clusters if abs(c.approx - x) < 1e-9)
+    golden = 2 * np.cos(2 * np.pi / 5)
+    a, b, c = near(c5, golden), near(c10, golden), near(c10, -golden)
+    assert a.part != b.part and (a.multiplicity, b.multiplicity, c.multiplicity) == (2, 2, 2)
+    assert a == b and hash(a) == hash(b)
+    assert a != c and b != c
 
 
 def test_connected_sweep_split_agrees_with_the_integer_profile(monkeypatch):
@@ -623,8 +650,9 @@ def test_connected_sweep_split_agrees_with_the_integer_profile(monkeypatch):
     assert summary["instances"] == 27475
     assert len(charpolys) == len(set(charpolys)) > 100
     for c in charpolys:
-        assert list(oracle_mod._cached_parts(c)) == squarefree_parts(IntPolynomial(c)), c
-        split = {mult: f.degree for f, mult in squarefree_parts(IntPolynomial(c))}
+        parts = _sympy_pieces(c, "sqf_list")
+        assert list(oracle_mod._cached_parts(c)) == parts, c
+        split = {mult: f.degree for f, mult in parts}
         assert split == dict(oracle_mod._cached_profile(c)), c
 
 
@@ -743,15 +771,15 @@ def _json_sha1(obj) -> str:
 
 
 def test_connected_sweep_splits_each_charpoly_once_and_factors_nothing(monkeypatch):
-    seen = {"int_squarefree_parts": [], "irreducible_factors": [], "squarefree_parts": []}
-    for name, calls in seen.items():
-        real = getattr(oracle_mod, name)
+    monkeypatch.setitem(sys.modules, "sympy", None)  # any import of it fails
+    seen = []
+    real = oracle_mod.int_squarefree_parts
 
-        def counted(p, real=real, calls=calls):
-            calls.append(tuple(getattr(p, "coeffs", p)))
-            return real(p)
+    def counted(coeffs):
+        seen.append(tuple(coeffs))
+        return real(coeffs)
 
-        monkeypatch.setattr(oracle_mod, name, counted)
+    monkeypatch.setattr(oracle_mod, "int_squarefree_parts", counted)
     summary, _ = _run("connected", cap=5)
     assert _json_sha1(summary) == "5f36a44cf15de048bc12bc72d4eabe6e62c09fbb"
     charpolys = {
@@ -759,10 +787,9 @@ def test_connected_sweep_splits_each_charpoly_once_and_factors_nothing(monkeypat
         for n in range(2, 6)
         for g in enumerate_connected(n)
     }
-    assert sorted(seen["int_squarefree_parts"]) == sorted(charpolys)
     # the sweep names each eigenvalue by its part and an isolating
-    # interval: nothing goes through sympy's split or factoring
-    assert seen["squarefree_parts"] == seen["irreducible_factors"] == []
+    # interval, from one Z[x] split per charpoly: nothing is factored
+    assert sorted(seen) == sorted(charpolys)
 
 
 def test_connected_sweep_cap6_summary_digest():
@@ -876,13 +903,13 @@ def test_inconsistent_classifier_records_are_unchanged(monkeypatch):
             "unicyclic",
             {"cap": 6, "only": "unicyclic:n5:i2"},
             10,
-            "8b726c8e4781f6bac87e83b7bfb83b1dbbcbad05",
+            "42974a264a8e6b5c27455cfa8fcb6855298e8b40",
         ),
         (
             "theta_infty",
             {"cap": 4, "only": "theta:3-2-2"},
             12,
-            "5908b182a71ccf8695e4681784e25e29af63c738",
+            "66aa5012d61574dcdced897ee9ff212c63532288",
         ),
         ("connected", {"cap": 5, "only": "conn:n4:m7"}, 6, "b6b1c22a7d8a3176441eead5ba25ae84c96df7ef"),
     ]:

@@ -132,37 +132,76 @@ def test_every_relation_probe_field_is_read():
     assert fields and [f for f in fields if f not in read] == []
 
 
-def test_importing_the_package_leaves_sympy_unloaded():
-    """sympy is imported inside the functions that factor or split a
-    polynomial, so that a run which never does either pays nothing for it."""
+def test_no_module_imports_sympy():
+    """sympy is a test-only dependency: the tests use it as an independent
+    reference, and no module of the package imports it, at the top or
+    inside a function."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, node.lineno) for m in modules if m.split(".")[0] == "sympy"]
+    assert found == []
+
+
+def _run_fresh(code: str, *args: str) -> str:
+    """The stdout of code, run with args in a fresh interpreter that imports
+    the package from its source tree."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    code = "import sys, specmult, specmult.cli, specmult.oracle; print('sympy' in sys.modules)"
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_the_query_calls_never_load_sympy(tmp_path):
+    """The calls a query client warms up with (an adjacency and a weighted
+    certified spectrum with every lam read, the classifier, a relation
+    check and a CLI multiplicity) run without importing sympy."""
+    graph = tmp_path / "c4.graph"
+    graph.write_text("4 4\n0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    code = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from fractions import Fraction\n"
+        "import specmult as sm, specmult.cli\n"
+        "g = sm.theta_graph(2, 3, 3)\n"
+        "a = sm.adjacency_matrix(g)\n"
+        "lams = [c.lam for b in (a, sm.random_in_S(g, seed=5)) for c in sm.certified_spectrum(b)]\n"
+        "sm.conclusion_classifier(g, a, Fraction(0))\n"
+        "sm.lemma_relation_checks(g, a, Fraction(0), sm.RelationProbe('interlace-v', vertex=0))\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    code = specmult.cli.main(['mult', '--graph', sys.argv[1], '--lambda=0', '--json'])\n"
+        "print(code, len(lams), 'sympy' in sys.modules)"
+    )
+    out = _run_fresh(code, str(graph)).split()
+    assert out[0] == "0" and int(out[1]) > 0 and out[2] == "False"
+
+
+def test_importing_the_package_leaves_sympy_unloaded():
+    """Importing the package and its CLI loads no sympy."""
+    code = "import sys, specmult, specmult.cli, specmult.oracle; print('sympy' in sys.modules)"
+    assert _run_fresh(code).strip() == "False"
 
 
 def test_a_passing_sweep_never_loads_sympy():
     """The connected sweep names each eigenvalue by its squarefree part and a
     certified isolating interval, and counts it by gcd rounds: a clean cap-6
     sweep runs to the end without importing sympy."""
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     code = (
         "import sys\n"
         "from specmult.oracle import CampaignConfig, run_campaign\n"
         "summary, found = run_campaign(CampaignConfig('connected', cap=6))\n"
         "print(summary['instances'], summary['checks'], len(found), 'sympy' in sys.modules)"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["27475", "71301", "0", "False"]
+    assert _run_fresh(code).split() == ["27475", "71301", "0", "False"]

@@ -18,6 +18,7 @@ from specmult.hermitian import (
     principal_submatrix,
     random_in_S,
 )
+from specmult.oracle import int_squarefree_parts
 from specmult.spectra import (
     AlgebraicEigenvalue,
     IntPolynomial,
@@ -26,7 +27,6 @@ from specmult.spectra import (
     describe_eigenvalue,
     eigenvalues_numeric,
     exact_rank,
-    irreducible_factors,
     min_poly_2cos,
     multiplicity,
     multiplicity_numeric,
@@ -35,7 +35,6 @@ from specmult.spectra import (
     poly_primitive_int,
     scale_minpoly,
     scaled_char_poly,
-    squarefree_parts,
     submatrix_multiplicity,
 )
 
@@ -75,30 +74,29 @@ def test_int_polynomial_normalization():
     assert str(IntPolynomial((-1, 0, 4))) == "4x^2 - 1"
 
 
-def test_irreducible_factors_match_sympy():
-    rng = random.Random(11)
-    for _ in range(15):
-        coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(2, 6))] + [1]
-        p = IntPolynomial(tuple(coeffs))
-        ours = sorted((f.coeffs, m) for f, m in irreducible_factors(p))
-        ref = []
-        for fac, m in sympy.factor_list(sympy.Poly(list(reversed(coeffs)), X).as_expr())[1]:
-            fp = sympy.Poly(fac, X)
-            ref.append((tuple(reversed([int(c) for c in fp.all_coeffs()])), m))
-        assert ours == sorted(ref)
+def _sympy_factors(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
+    """The irreducible factors of p with their multiplicities, by sympy's
+    factor_list (constants dropped): the independent reference."""
+    _, factors = sympy.Poly(list(reversed(p.coeffs)), X).factor_list()
+    return [
+        (IntPolynomial(poly_primitive_int([int(c) for c in reversed(f.all_coeffs())])), int(m))
+        for f, m in factors
+        if f.degree() >= 1
+    ]
 
 
 def test_squarefree_parts_group_the_factors_by_multiplicity():
+    """The Z[x] squarefree split against sympy's factors, grouped by
+    multiplicity."""
     rng = random.Random(12)
     pieces = [(-2, 1), (1, 1), (3, -2), (-1, 0, 1), (-1, 1, 1), (2, 0, 0, 1)]
     for _ in range(30):
         p: tuple = (rng.choice((-3, 1, 2)),)
         for _ in range(rng.randint(1, 5)):
             p = poly_mul(p, rng.choice(pieces))
-        poly = IntPolynomial(p)
-        parts = squarefree_parts(poly)
+        parts = int_squarefree_parts(p)
         by_mult: dict = {}
-        for f, m in irreducible_factors(poly):
+        for f, m in _sympy_factors(IntPolynomial(p)):
             by_mult[m] = poly_mul(by_mult.get(m, (1,)), f.coeffs)
         assert sorted((m, f.coeffs) for f, m in parts) == sorted(
             (m, poly_primitive_int(f)) for m, f in by_mult.items()
@@ -279,7 +277,7 @@ def test_gcd_rounds_equal_the_factored_division_count_on_the_sweep(monkeypatch):
     assert summary["instances"] == 27475 and found == []
     charpolys = sorted({q for q, _ in asked})
     roots = sorted({(f, lo, hi) for _, f in asked for _, lo, hi in spectra_mod._isolate(f, len(f) - 1)})
-    reducible = sum(len(irreducible_factors(IntPolynomial(f))) > 1 for f in {f for f, _, _ in roots})
+    reducible = sum(len(_sympy_factors(IntPolynomial(f))) > 1 for f in {f for f, _, _ in roots})
     counts = [
         real(q, f, lo.as_integer_ratio(), hi.as_integer_ratio()) for q in charpolys for f, lo, hi in roots
     ]
@@ -468,7 +466,7 @@ def _eigenvalues_of(b: HermitianMatrix) -> list:
     conjugate root of a factor of degree 2 or more."""
     charpoly, d = scaled_char_poly(b)
     out = []
-    for f, _ in irreducible_factors(charpoly):
+    for f, _ in _sympy_factors(charpoly):
         # a root r of f is the eigenvalue r/d, whose minimal polynomial is f(d*x)
         mu = IntPolynomial(poly_primitive_int([c * d**j for j, c in enumerate(f.coeffs)]))
         if mu.degree == 1:
