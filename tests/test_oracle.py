@@ -553,13 +553,10 @@ def test_reading_one_lam_describes_only_its_part(monkeypatch):
     assert described().currsize == 2
 
 
-def test_certified_spectrum_repairs_a_lost_root_by_one_sturm_isolation(monkeypatch):
-    """A root finder that loses a root of C_10's doubled part x^4 - 3x^2 + 1
-    fails the part's sign certificate; Sturm bisection isolates it once, for
-    the roots and the descriptors alike, and the spectrum does not change."""
-    b = adjacency_matrix(cycle_graph(10))
-    want = certified_spectrum(b)
-    want_lams = [c.lam for c in want]
+def _lose_a_root_of_the_doubled_part(monkeypatch) -> list:
+    """Make the root finder lose a root of C_10's doubled part
+    x^4 - 3x^2 + 1, with every memo cleared, and return the list that
+    records each part Sturm bisection isolates."""
     for memo in (oracle_mod._cached_parts, oracle_mod._part_roots, oracle_mod._part_eigenvalues):
         memo.cache_clear()
     spectra_mod._isolate.cache_clear()
@@ -579,12 +576,37 @@ def test_certified_spectrum_repairs_a_lost_root_by_one_sturm_isolation(monkeypat
         return real_bisection(coeffs, *args)
 
     monkeypatch.setattr(spectra_mod, "_isolate_by_bisection", counted)
+    return bisected
+
+
+def test_certified_spectrum_takes_lost_roots_from_the_factors(monkeypatch):
+    """A root finder that loses a root of C_10's doubled part fails the
+    part's sign certificate; the root is recovered by Sturm bisection, and
+    the spectrum is still the one sympy's irreducible factors give."""
+    b = adjacency_matrix(cycle_graph(10))
+    want = certified_spectrum(b)
+    want_lams = [c.lam for c in want]
+    bisected = _lose_a_root_of_the_doubled_part(monkeypatch)
     got = certified_spectrum(b)
-    assert got == want and bisected == [part]
+    assert bisected == [(1, 0, -3, 0, 1)]
+    assert got == want
     assert [c.approx for c in got] == pytest.approx([c.approx for c in want], rel=1e-15)
-    lams = [c.lam for c in got]
-    assert all(_same_root(a, w) for a, w in zip(lams, want_lams))
-    assert bisected == [part]
+    factored = _factored_spectrum(b)
+    assert [(c.multiplicity, c.scale) for c in got] == [(m, d) for m, d, _, _ in factored]
+    assert all(_same_root(c.lam, lam) for c, (_, _, lam, _) in zip(got, factored))
+    assert all(_same_root(c.lam, w) for c, w in zip(got, want_lams))
+
+
+def test_a_part_that_loses_a_root_is_factored_once(monkeypatch):
+    """The lost-root fallback and the exact descriptors share one Sturm
+    isolation of the part, however many lam are read."""
+    part = (1, 0, -3, 0, 1)
+    bisected = _lose_a_root_of_the_doubled_part(monkeypatch)
+    clusters = certified_spectrum(adjacency_matrix(cycle_graph(10)))
+    lams = [c.lam for c in clusters]
+    assert [lam.minpoly.coeffs for lam in lams[1:5]] == [part] * 4
+    lams += [c.lam for c in clusters]
+    assert bisected.count(part) == 1
 
 
 def test_root_descriptors_pair_tightly_clustered_roots_or_raise(monkeypatch):
