@@ -100,6 +100,7 @@ from .spectra import (
     _int_div_exact,
     _int_gcd_poly,
     _int_primitive,
+    _int_sub,
     _isolate,
     _real_roots,
     _same_root,
@@ -470,30 +471,17 @@ def int_squarefree_parts(coeffs) -> list[tuple[IntPolynomial, int]]:
         return [(IntPolynomial(f), 1)]
     w = _int_div_exact(f, g)
     y = _int_div_exact(fp, g)
-    wp = _int_derivative(w)
-    z = list(y) + [0] * (len(wp) - len(y))
-    for j, c in enumerate(wp):
-        z[j] -= c
-    while z and z[-1] == 0:
-        z.pop()
+    z = _int_sub(y, _int_derivative(w))
     parts = []
     i = 1
     while len(w) > 1:
         if i > deg_f:
             raise AssertionError("squarefree decomposition failed to terminate")
-        a = _int_gcd_poly(w, tuple(z))
+        a = _int_gcd_poly(w, z)
         if len(a) > 1:
             parts.append((IntPolynomial(a), i))
         w = _int_div_exact(w, a)
-        z = list(_int_div_exact(tuple(z), a))
-        wp = _int_derivative(w)
-        for j in range(len(z)):
-            if j < len(wp):
-                z[j] -= wp[j]
-        for j in range(len(z), len(wp)):
-            z.append(-wp[j])
-        while z and z[-1] == 0:
-            z.pop()
+        z = _int_sub(_int_div_exact(z, a), _int_derivative(w))
         i += 1
     if sum(k * a.degree for a, k in parts) != deg_f:
         raise AssertionError("squarefree parts do not add up to the degree")
@@ -634,10 +622,7 @@ def _part_roots(coeffs: tuple) -> tuple:
     integer_at: dict[int, int] = {}
     for i, r in enumerate(roots):
         k = round(r)
-        value = 0
-        for c in reversed(f.coeffs):
-            value = value * k + c
-        if value == 0 and (k not in integer_at or abs(r - k) < abs(roots[integer_at[k]] - k)):
+        if _sign_at(f.coeffs, k) == 0 and (k not in integer_at or abs(r - k) < abs(roots[integer_at[k]] - k)):
             integer_at[k] = i
     for k, i in integer_at.items():
         roots[i] = Fraction(k)
@@ -651,8 +636,9 @@ def _part_eigenvalues(coeffs: tuple) -> tuple:
     deg f roots are real), ascending, without factoring: the root of a
     linear part, and an integer k in a root's isolating interval where f(k)
     = 0, is a Fraction; any other root is an AlgebraicEigenvalue carrying f
-    and the interval. Memoised, so a part is isolated once; a part that
-    does not yield deg f certified roots raises AssertionError (_isolate).
+    and the interval, which _isolate has certified, so it is not checked
+    again. Memoised, so a part is isolated once; a part that does not yield
+    deg f certified roots raises AssertionError (_isolate).
     """
     f = IntPolynomial(coeffs)
     if f.degree == 1:
@@ -663,7 +649,7 @@ def _part_eigenvalues(coeffs: tuple) -> tuple:
         if lo < k < hi and _sign_at(coeffs, k) == 0:
             out.append(Fraction(k))
         else:
-            out.append(AlgebraicEigenvalue(f, approx, (lo, hi)))
+            out.append(AlgebraicEigenvalue._certified(f, approx, lo, hi))
     return tuple(out)
 
 

@@ -50,7 +50,9 @@ computed spectrum). Cluster counting refuses to guess: if an excluded
 eigenvalue sits within 2*tol of the included cluster the call raises
 instead of returning a number.
 
-Polynomials are coefficient tuples, lowest degree first.
+Polynomials are integer coefficient tuples, lowest degree first, handled by
+one set of Z[x] helpers (_int_primitive, _int_prem, _int_gcd_poly,
+_int_div_exact, _int_derivative, _int_sub, _sign_at); none holds a Fraction.
 """
 
 from __future__ import annotations
@@ -77,60 +79,6 @@ def _trim(coeffs: Sequence) -> tuple:
     while k > 0 and coeffs[k - 1] == 0:
         k -= 1
     return tuple(coeffs[:k])
-
-
-def poly_mul(a: Sequence, b: Sequence) -> tuple:
-    a, b = _trim(a), _trim(b)
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
-def poly_scale(a: Sequence, s) -> tuple:
-    return _trim([s * x for x in a])
-
-
-def poly_divmod(a: Sequence, b: Sequence) -> tuple[tuple, tuple]:
-    """Division with remainder; exact in the coefficient ring when b is monic,
-    otherwise performed over the rationals."""
-    a, b = list(_trim(a)), _trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = b[-1]
-    db = len(b) - 1
-    if lead != 1:
-        a = [Fraction(x) for x in a]
-        b = tuple(Fraction(x) for x in b)
-    q = [0] * max(len(a) - db, 0)
-    while len(_trim(a)) - 1 >= db:
-        a = list(_trim(a))
-        da = len(a) - 1
-        c = a[-1] if lead == 1 else a[-1] / lead
-        q[da - db] = c
-        for k in range(db + 1):
-            a[da - db + k] -= c * b[k]
-    return _trim(q), _trim(a)
-
-
-def poly_primitive_int(a: Sequence) -> tuple[int, ...]:
-    """Clear denominators and divide by the content; positive leading coeff."""
-    a = _trim(a)
-    if not a:
-        return ()
-    fr = [Fraction(x) for x in a]
-    den = math.lcm(*[f.denominator for f in fr])
-    ints = [int(f * den) for f in fr]
-    g = math.gcd(*[abs(v) for v in ints])
-    ints = [v // g for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
 
 
 def _real_roots(coeffs: Sequence[int]) -> list[float]:
@@ -221,6 +169,16 @@ def _int_div_exact(a, b) -> tuple:
 
 def _int_derivative(a) -> tuple:
     return tuple(j * a[j] for j in range(1, len(a)))
+
+
+def _int_sub(a, b) -> list:
+    """a - b in Z[x], trailing zeros trimmed."""
+    out = [*a, *[0] * (len(b) - len(a))]
+    for j, c in enumerate(b):
+        out[j] -= c
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -363,15 +321,6 @@ def _squarefree_chain(poly: "IntPolynomial") -> tuple[tuple, ...]:
     return tuple(chain)
 
 
-@lru_cache(maxsize=1024)
-def _real_isolation(poly: "IntPolynomial") -> tuple[tuple[float, Fraction, Fraction], ...]:
-    """_isolate over every real root of a nonconstant squarefree integer
-    polynomial, counted by Sturm's theorem."""
-    chain = _squarefree_chain(poly)
-    bound = _root_bound(poly.coeffs)
-    return _isolate(poly.coeffs, _variations(chain, -bound) - _variations(chain, bound))
-
-
 @dataclass(frozen=True)
 class IntPolynomial:
     """Integer-coefficient polynomial, lowest degree first, no trailing zeros."""
@@ -416,31 +365,16 @@ class IntPolynomial:
 # Cyclotomic polynomials and minimal polynomials of 2cos(2k*pi/n)
 
 
-def _divisors(m: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            out.append(d)
-            if d != m // d:
-                out.append(m // d)
-        d += 1
-    return sorted(out)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, lowest degree first."""
     if m < 1:
         raise ParameterOutOfRange("cyclotomic index must be >= 1")
-    p: tuple = tuple([-1] + [0] * (m - 1) + [1])
-    for d in _divisors(m):
-        if d == m:
-            continue
-        p, r = poly_divmod(p, cyclotomic(d))
-        if r:
-            raise AssertionError("cyclotomic division left a remainder")
-    return tuple(int(c) for c in p)
+    p = (-1, *[0] * (m - 1), 1)
+    for d in range(1, m):
+        if m % d == 0:
+            p = _int_div_exact(p, cyclotomic(d))
+    return p
 
 
 def min_poly_2cos(n: int, k: int) -> IntPolynomial:
@@ -459,29 +393,18 @@ def min_poly_2cos(n: int, k: int) -> IntPolynomial:
     if d2 % 2 != 0:
         raise AssertionError("cyclotomic degree must be even for m >= 3")
     big_d = d2 // 2
-    # strip psi out of  z^D * psi(z + 1/z) = Phi_m(z), top degree down
+    # strip psi out of  z^D * psi(z + 1/z) = Phi_m(z), top degree down:
+    # the term c*z^(D-j)*(z^2 + 1)^j of psi's z^j has its top at z^(D+j)
     residue = list(phi)
     psi = [0] * (big_d + 1)
     for j in range(big_d, -1, -1):
-        c = residue[big_d + j] if big_d + j < len(residue) else 0
-        psi[j] = c
-        if c != 0:
-            term = poly_scale(
-                poly_mul([0] * (big_d - j) + [1], _binomial_z2_plus_1(j)), c
-            )
-            for idx, val in enumerate(term):
-                residue[idx] -= val
+        c = psi[j] = residue[big_d + j]
+        if c:
+            for i in range(j + 1):
+                residue[big_d - j + 2 * i] -= c * math.comb(j, i)
     if any(residue):
         raise AssertionError("coefficient matching left a nonzero residue")
     return IntPolynomial(psi)
-
-
-def _binomial_z2_plus_1(j: int) -> tuple[int, ...]:
-    """(z^2 + 1)^j as a coefficient tuple."""
-    out: tuple = (1,)
-    for _ in range(j):
-        out = poly_mul(out, (1, 0, 1))
-    return out
 
 
 def scale_minpoly(mu: IntPolynomial, scale, shift=0) -> IntPolynomial:
@@ -490,19 +413,18 @@ def scale_minpoly(mu: IntPolynomial, scale, shift=0) -> IntPolynomial:
     shift is 0 and scale 1."""
     if shift == 0 and scale == 1:
         return mu
+    a, b = Fraction(scale).as_integer_ratio()
+    s, t = Fraction(shift).as_integer_ratio()
     deg = mu.degree
-    # scale^deg * mu((y - shift)/scale), expanded exactly
+    # (a*t)^deg * mu(b*(t*y - s)/(a*t)) in Z[y], a positive multiple of
+    # scale^deg * mu((y - shift)/scale): the term of c_j is
+    # c_j (a*t)^(deg-j) b^j (t*y - s)^j
     acc = [0] * (deg + 1)
     for j, c in enumerate(mu.coeffs):
-        w = c * scale ** (deg - j)
-        if shift == 0:
-            acc[j] = w
-        else:
-            for k in range(j + 1):
-                acc[k] += w * math.comb(j, k) * (-shift) ** (j - k)
-    if acc[-1] == 1 and all(isinstance(c, int) for c in acc):
-        return IntPolynomial(acc)  # monic over Z, so already primitive
-    return IntPolynomial(poly_primitive_int(acc))
+        w = c * (a * t) ** (deg - j) * b**j
+        for k in range(j + 1):
+            acc[k] += w * math.comb(j, k) * t**k * (-s) ** (j - k)
+    return IntPolynomial(_int_primitive(acc))
 
 
 @lru_cache(maxsize=4096)
@@ -899,13 +821,17 @@ class AlgebraicEigenvalue:
     or any squarefree multiple of it, such as a squarefree part of a
     characteristic polynomial), plus a floating locator for reporting.
 
-    It is checked once, here, and ParameterOutOfRange names what fails.
-    minpoly must be nonconstant and squarefree. A given interval must hold
-    exactly one root, by Sturm's count, with f nonzero at its ends. Without
-    one, approx names the root whose isolating cell holds it (the cells of
-    _real_isolation meet midway between neighbouring float roots), which
-    fails when there is no real root or approx lies within 1e-9 (relative)
-    of the boundary of two cells. Equality reads minpoly and approx only.
+    Built by a caller, it is checked once, here, and ParameterOutOfRange
+    names what fails. minpoly must be nonconstant and squarefree. A given
+    interval must hold exactly one root, by Sturm's count, with f nonzero
+    at its ends. Without one, approx names the root whose isolating cell
+    holds it (the cells of _isolate meet midway between neighbouring float
+    roots), which fails when there is no real root or approx lies within
+    1e-9 (relative) of the boundary of two cells. Either way approx must be
+    finite and lie inside the interval, since the numeric route reads it.
+    A descriptor built from an interval that _isolate has just certified
+    (real_root, and the roots of a certified spectrum) is not checked a
+    second time. Equality reads minpoly and approx only.
     """
 
     minpoly: IntPolynomial
@@ -914,14 +840,26 @@ class AlgebraicEigenvalue:
 
     def __post_init__(self):
         if self.interval is None:
-            object.__setattr__(self, "interval", _locate_root(self.minpoly, self.approx)[1:])
-            return
-        lo, hi = map(Fraction, self.interval)
-        chain = _squarefree_chain(self.minpoly)
-        ends_nonzero = all(_sign_at(chain[0], *end.as_integer_ratio()) for end in (lo, hi))
-        if not (lo < hi and ends_nonzero and _variations(chain, lo) - _variations(chain, hi) == 1):
-            raise ParameterOutOfRange(f"({lo}, {hi}) does not isolate one root of {self.minpoly}")
+            lo, hi = _locate_root(self.minpoly, self.approx)[1:]
+        else:
+            lo, hi = map(Fraction, self.interval)
+            chain = _squarefree_chain(self.minpoly)
+            ends_nonzero = all(_sign_at(chain[0], *end.as_integer_ratio()) for end in (lo, hi))
+            if not (lo < hi and ends_nonzero and _variations(chain, lo) - _variations(chain, hi) == 1):
+                raise ParameterOutOfRange(f"({lo}, {hi}) does not isolate one root of {self.minpoly}")
+        if not (math.isfinite(self.approx) and lo < self.approx < hi):
+            raise ParameterOutOfRange(f"approx {self.approx} is not finite or lies outside ({lo}, {hi})")
         object.__setattr__(self, "interval", (lo, hi))
+
+    @classmethod
+    def _certified(
+        cls, minpoly: IntPolynomial, approx: float, lo: Fraction, hi: Fraction
+    ) -> "AlgebraicEigenvalue":
+        """The descriptor of the root of minpoly in (lo, hi), an interval
+        that _isolate has certified, built without __post_init__'s check."""
+        self = object.__new__(cls)
+        vars(self).update(minpoly=minpoly, approx=approx, interval=(lo, hi))
+        return self
 
     @classmethod
     def from_2cos(cls, n: int, k: int) -> "AlgebraicEigenvalue":
@@ -931,15 +869,18 @@ class AlgebraicEigenvalue:
     def real_root(cls, poly: IntPolynomial, near: Optional[float] = None) -> "AlgebraicEigenvalue":
         """The real root of poly whose isolating cell holds near, or its
         only real root when near is None, located by its float root."""
-        approx, lo, hi = _locate_root(poly, near)
-        return cls(poly, approx, (lo, hi))
+        return cls._certified(poly, *_locate_root(poly, near))
 
 
 def _locate_root(poly: IntPolynomial, near: Optional[float]) -> tuple[float, Fraction, Fraction]:
     """(approx, lo, hi) of the real root of poly named by near, as
-    AlgebraicEigenvalue describes; ParameterOutOfRange when there is none,
-    or no single one."""
-    roots = _real_isolation(poly)
+    AlgebraicEigenvalue describes: poly is checked (_squarefree_chain), its
+    real roots counted by Sturm's theorem on (-B, B) of _root_bound and
+    isolated (_isolate). ParameterOutOfRange when there is no such root, or
+    no single one."""
+    chain = _squarefree_chain(poly)
+    bound = _root_bound(poly.coeffs)
+    roots = _isolate(poly.coeffs, _variations(chain, -bound) - _variations(chain, bound))
     if not roots:
         raise ParameterOutOfRange(f"{poly} has no real root")
     if near is None:
@@ -1160,8 +1101,11 @@ def eigenvalues_numeric(b: HermitianMatrix) -> SpectrumNumeric:
 
 
 def multiplicity_numeric(b: HermitianMatrix, lam, tol: float = 1e-8) -> MultiplicityResult:
-    """Count eigenvalues within tol of lambda, refusing ambiguous clusters."""
+    """Count eigenvalues within tol of lambda, refusing ambiguous clusters
+    and a lambda that is not finite."""
     lam_f = eigenvalue_float(lam)
+    if not math.isfinite(lam_f):
+        raise ParameterOutOfRange(f"lambda {lam_f} is not finite")
     spec = eigenvalues_numeric(b)
     if not tol > spec.residual_bound:
         raise ParameterOutOfRange(

@@ -18,7 +18,7 @@ def record_criterion(line: str) -> None:
 def cold_spectral_memos():
     """A memo warmed by an earlier test would bypass the helpers a test
     monkeypatches (_real_roots, int_squarefree_parts, _isolate_by_bisection,
-    the structure functions, poly_divmod) and make its result depend on test
+    the structure functions, _variations) and make its result depend on test
     order. Every memo of these modules is found by its cache_clear, so a
     new one cannot be missed."""
     for module in (oracle, spectra, structure):

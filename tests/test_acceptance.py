@@ -12,16 +12,16 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import conftest
+import pytest
 
 from specmult.graphs import cycle_graph
 from specmult.hermitian import adjacency_matrix
 from specmult.oracle import CampaignConfig, run_campaign
 from specmult.spectra import (
     AlgebraicEigenvalue,
+    _int_div_exact,
     min_poly_2cos,
     multiplicity,
-    poly_divmod,
-    poly_mul,
     scaled_char_poly,
 )
 
@@ -106,8 +106,9 @@ def test_criterion_02_cycle_equality():
                 # literal route: the square of the minimal polynomial
                 # divides the charpoly, and its cube does not
                 mu = min_poly_2cos(n, k).coeffs
-                rest, rem = poly_divmod(charpoly.coeffs, poly_mul(mu, mu))
-                assert not rem and poly_divmod(rest, mu)[1]
+                rest = _int_div_exact(_int_div_exact(charpoly.coeffs, mu), mu)
+                with pytest.raises(AssertionError, match="remainder"):
+                    _int_div_exact(rest, mu)
         assert time.perf_counter() - t0 < 5.0
 
 

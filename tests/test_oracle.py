@@ -47,10 +47,10 @@ from specmult.oracle import (
 from specmult.spectra import (
     AlgebraicEigenvalue,
     IntPolynomial,
+    _int_primitive,
     _real_roots,
     _same_root,
     eigenvalue_float,
-    poly_primitive_int,
     scaled_char_poly,
 )
 from specmult.structure import _structure, classify_family, is_tree
@@ -70,7 +70,7 @@ def _sympy_pieces(coeffs, split: str) -> list[tuple[IntPolynomial, int]]:
     coefficients) order, constants dropped. The independent reference."""
     _, pieces = getattr(sympy.Poly([int(c) for c in reversed(coeffs)], X), split)()
     out = [
-        (IntPolynomial(poly_primitive_int([int(c) for c in reversed(f.all_coeffs())])), int(m))
+        (IntPolynomial(_int_primitive([int(c) for c in reversed(f.all_coeffs())])), int(m))
         for f, m in pieces
         if f.degree() >= 1
     ]
@@ -521,7 +521,7 @@ def test_certified_spectrum_builds_no_descriptor_until_lam_is_read(monkeypatch):
     def refuse(*args):
         raise RuntimeError("described")
 
-    monkeypatch.setattr(oracle_mod, "AlgebraicEigenvalue", refuse)
+    monkeypatch.setattr(spectra_mod.AlgebraicEigenvalue, "_certified", refuse)
     b = random_in_S(theta_graph(2, 3, 3), seed=5)
     clusters = certified_spectrum(b)
     assert sum(c.multiplicity for c in clusters) == b.n
@@ -530,6 +530,32 @@ def test_certified_spectrum_builds_no_descriptor_until_lam_is_read(monkeypatch):
     assert approx == pytest.approx(list(ev), rel=1e-9, abs=1e-12)
     with pytest.raises(RuntimeError, match="described"):
         clusters[0].lam
+
+
+def test_part_eigenvalues_take_their_certified_intervals_unchecked(monkeypatch):
+    """A part whose float roots pass _isolate's sign certificate gets its
+    descriptors from those very intervals, with no Sturm count at all;
+    real_root counts the real roots once; the public constructor still
+    checks an interval that a caller gives it."""
+    counted = []
+    real = spectra_mod._variations
+
+    def variations(chain, x):
+        counted.append(x)
+        return real(chain, x)
+
+    monkeypatch.setattr(spectra_mod, "_variations", variations)
+    part = (1, 0, -3, 0, 1)  # C_10's doubled part
+    lams = oracle_mod._part_eigenvalues(part)
+    assert [lam.minpoly.coeffs for lam in lams] == [part] * 4
+    assert [(lam.approx, *lam.interval) for lam in lams] == list(spectra_mod._isolate(part, 4))
+    assert counted == []
+    # the count of real roots by Sturm's theorem at -B and B, and no more
+    assert AlgebraicEigenvalue.real_root(IntPolynomial(part), 0.6) == lams[2]
+    assert len(counted) == 2
+    counted.clear()
+    assert AlgebraicEigenvalue(IntPolynomial(part), lams[0].approx, lams[0].interval) == lams[0]
+    assert len(counted) == 2
 
 
 def test_reading_one_lam_describes_only_its_part(monkeypatch):

@@ -22,6 +22,8 @@ from specmult.oracle import int_squarefree_parts
 from specmult.spectra import (
     AlgebraicEigenvalue,
     IntPolynomial,
+    _int_div_exact,
+    _int_primitive,
     _is_exact_scalar,
     cyclotomic,
     describe_eigenvalue,
@@ -30,9 +32,6 @@ from specmult.spectra import (
     min_poly_2cos,
     multiplicity,
     multiplicity_numeric,
-    poly_divmod,
-    poly_mul,
-    poly_primitive_int,
     scale_minpoly,
     scaled_char_poly,
     submatrix_multiplicity,
@@ -51,27 +50,29 @@ def _sympy_matrix(b: HermitianMatrix) -> sympy.Matrix:
     return sympy.Matrix(rows)
 
 
-def test_poly_divmod_exact_and_fractional():
-    # (x^2 - 1) = (x - 1)(x + 1)
-    q, r = poly_divmod((-1, 0, 1), (-1, 1))
-    assert q == (1, 1) and r == ()
-    # non-monic divisor lifts to rationals: x^2 / (2x) = x/2
-    q, r = poly_divmod((0, 0, 1), (0, 2))
-    assert q == (0, Fraction(1, 2)) and r == ()
-
-
-def test_poly_primitive_int():
-    assert poly_primitive_int([Fraction(1, 2), Fraction(3, 2)]) == (1, 3)
-    assert poly_primitive_int([-4, -8]) == (1, 2)  # positive leading coefficient
-    assert poly_primitive_int([0, Fraction(0)]) == ()
-
-
 def test_int_polynomial_normalization():
     p = IntPolynomial((1, 2, 1))
     assert p.degree == 2 and p.is_monic
     assert IntPolynomial((1, 0)).coeffs == (1,)  # trailing zeros trimmed
     assert IntPolynomial(()).coeffs == ()
     assert str(IntPolynomial((-1, 0, 4))) == "4x^2 - 1"
+    # the primitive part: content divided out, leading coefficient positive
+    assert _int_primitive([-4, -8]) == (1, 2)
+    assert _int_primitive([3, 0, 6, 0, 0]) == (1, 0, 2)
+    assert _int_primitive([0, 0]) == ()
+    # exact division in Z[x], and an inexact one raises
+    assert _int_div_exact((-1, 0, 1), (-1, 1)) == (1, 1)
+    assert _int_div_exact((0, 0, 2), (0, 2)) == (0, 1)
+    with pytest.raises(AssertionError, match="inexact"):
+        _int_div_exact((0, 0, 1), (0, 2))  # x^2 / (2x) = x/2
+    with pytest.raises(AssertionError, match="remainder"):
+        _int_div_exact((1, 0, 1), (-1, 1))  # x^2 + 1 = (x - 1)(x + 1) + 2
+
+
+def _mul(a: tuple, b: tuple) -> tuple:
+    """a*b for integer coefficient tuples, lowest degree first, by sympy."""
+    prod = sympy.Poly(list(reversed(a)), X) * sympy.Poly(list(reversed(b)), X)
+    return tuple(int(c) for c in reversed(prod.all_coeffs()))
 
 
 def _sympy_factors(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
@@ -79,7 +80,7 @@ def _sympy_factors(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     factor_list (constants dropped): the independent reference."""
     _, factors = sympy.Poly(list(reversed(p.coeffs)), X).factor_list()
     return [
-        (IntPolynomial(poly_primitive_int([int(c) for c in reversed(f.all_coeffs())])), int(m))
+        (IntPolynomial(_int_primitive([int(c) for c in reversed(f.all_coeffs())])), int(m))
         for f, m in factors
         if f.degree() >= 1
     ]
@@ -93,13 +94,13 @@ def test_squarefree_parts_group_the_factors_by_multiplicity():
     for _ in range(30):
         p: tuple = (rng.choice((-3, 1, 2)),)
         for _ in range(rng.randint(1, 5)):
-            p = poly_mul(p, rng.choice(pieces))
+            p = _mul(p, rng.choice(pieces))
         parts = int_squarefree_parts(p)
         by_mult: dict = {}
         for f, m in _sympy_factors(IntPolynomial(p)):
-            by_mult[m] = poly_mul(by_mult.get(m, (1,)), f.coeffs)
+            by_mult[m] = _mul(by_mult.get(m, (1,)), f.coeffs)
         assert sorted((m, f.coeffs) for f, m in parts) == sorted(
-            (m, poly_primitive_int(f)) for m, f in by_mult.items()
+            (m, _int_primitive(list(f))) for m, f in by_mult.items()
         )
         assert parts == sorted(parts, key=lambda fm: (fm[0].degree, fm[0].coeffs))
 
@@ -136,6 +137,16 @@ def test_scale_minpoly():
     assert scale_minpoly(mu, Fraction(1, 2), 1).coeffs == (1, -6, 4)
     # a rational root: the primitive q*y - p of 2/3 - 3*(1/2) = -5/6
     assert scale_minpoly(IntPolynomial((-1, 2)), -3, Fraction(2, 3)).coeffs == (5, 6)
+    # a Fraction scale and shift: -2/3 + (5/7)*x for a root x of x^3 - 3x + 1
+    # (the minimal polynomial of 2cos(2pi/9)), against sympy's minpoly of
+    # the same number
+    mu = min_poly_2cos(9, 1)
+    scale, shift = Fraction(5, 7), Fraction(-2, 3)
+    root = sympy.Poly(list(reversed(mu.coeffs)), X).all_roots()[0]
+    value = sympy.Rational(-2, 3) + sympy.Rational(5, 7) * root
+    ref = sympy.Poly(sympy.minimal_polynomial(value, X), X)
+    want = _int_primitive([int(c) for c in reversed(ref.all_coeffs())])
+    assert scale_minpoly(mu, scale, shift).coeffs == want
 
 
 def test_gcd_rounds_count_a_root_of_a_reducible_non_monic_part():
@@ -242,6 +253,26 @@ def test_algebraic_eigenvalue_is_validated_where_it_is_built():
         with pytest.raises(ParameterOutOfRange, match="does not isolate"):
             AlgebraicEigenvalue(both, 1.0, interval)
     assert AlgebraicEigenvalue(both, 1.0, (0, Fraction(3, 2))).interval == (0, Fraction(3, 2))
+
+
+def test_algebraic_eigenvalue_refuses_an_approx_outside_its_interval():
+    """approx is what a floating matrix is asked about, so it must be a
+    finite number inside the interval that names the root: otherwise the
+    exact and the floating adjacency matrix of one graph would disagree."""
+    sqrt2 = IntPolynomial((-2, 0, 1))
+    for approx in (100.0, 1.0, 2.0, -1.5, math.nan, math.inf):
+        with pytest.raises(ParameterOutOfRange, match="approx"):
+            AlgebraicEigenvalue(sqrt2, approx, (1, 2))
+    # without an interval approx picks the cell of sqrt(2), which ends at
+    # the root bound 8, and must lie in it
+    with pytest.raises(ParameterOutOfRange, match="approx"):
+        AlgebraicEigenvalue(sqrt2, 100.0)
+    with pytest.raises(ParameterOutOfRange, match="not finite"):
+        AlgebraicEigenvalue(sqrt2, math.nan)
+    lam = AlgebraicEigenvalue(sqrt2, 1.5, (1, 2))
+    p3 = path_graph(3)  # eigenvalues -sqrt(2), 0, sqrt(2)
+    for scalar in ("exact", "approx"):
+        assert multiplicity(adjacency_matrix(p3, scalar=scalar), lam, tol=0.1).multiplicity == 1
 
 
 def _factored_count(q: tuple, f: tuple, lo: Fraction, hi: Fraction) -> int:
@@ -468,7 +499,7 @@ def _eigenvalues_of(b: HermitianMatrix) -> list:
     out = []
     for f, _ in _sympy_factors(charpoly):
         # a root r of f is the eigenvalue r/d, whose minimal polynomial is f(d*x)
-        mu = IntPolynomial(poly_primitive_int([c * d**j for j, c in enumerate(f.coeffs)]))
+        mu = IntPolynomial(_int_primitive([c * d**j for j, c in enumerate(f.coeffs)]))
         if mu.degree == 1:
             out.append(Fraction(-mu.coeffs[0], mu.coeffs[1]))
         else:

@@ -20,6 +20,7 @@ from specmult.errors import (
     NotConnected,
     NotCStarShape,
     NotUnicyclic,
+    ParameterOutOfRange,
     PatternMismatch,
     SideConditionUnmet,
 )
@@ -47,7 +48,7 @@ from specmult.spectra import (
     IntPolynomial,
     min_poly_2cos,
     multiplicity,
-    poly_mul,
+    submatrix_multiplicity,
 )
 from specmult.structure import _structure
 from specmult.theorems import (
@@ -767,9 +768,12 @@ def test_gain_cycle_matches_conjugates_by_interval(n, flip):
     c = cycle_graph(n)
     gains = {(0, 1): -1} if flip else {}
     forms = theorems_mod._gain_closed_forms(n, Fraction(0), flip)
-    product = (1,)
+    product = [1]
     for chi in {chi.coeffs for _, chi, _, _ in forms}:
-        product = poly_mul(product, chi)
+        product = [
+            sum(product[i] * chi[k - i] for i in range(len(product)) if 0 <= k - i < len(chi))
+            for k in range(len(product) + len(chi) - 1)
+        ]
     matrices = (_a_alpha(c, gains, Fraction(0)), a_alpha_gain(gain_graph(c, gains), 0.0))
     for j, chi, exact, val in forms:
         named = [exact, AlgebraicEigenvalue(IntPolynomial(product), val)]
@@ -854,3 +858,17 @@ def test_gain_cycle_side_conditions():
     other = _a_alpha(Graph(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]), {}, Fraction(0))
     with pytest.raises(PatternMismatch):
         lemma_relation_checks(c5, other, Fraction(0), probe)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_lambda_is_refused(lam):
+    """No eigenvalue is nan or infinite, and no count of one is 0: every
+    float lambda reaches multiplicity_numeric, which refuses it."""
+    p3 = path_graph(3)
+    for b in (adjacency_matrix(p3), adjacency_matrix(p3, scalar="approx")):
+        with pytest.raises(ParameterOutOfRange, match="not finite"):
+            multiplicity(b, lam)
+        with pytest.raises(ParameterOutOfRange, match="not finite"):
+            submatrix_multiplicity(b, [0, 1], lam)
+        with pytest.raises(ParameterOutOfRange, match="not finite"):
+            conclusion_classifier(p3, b, lam)
